@@ -26,7 +26,7 @@ import numpy as np
 from .classifier import BDChain
 from .fields import JumpLaw, RateField
 from .seeding import path_seed
-from .simulator import simulate_walk
+from .simulator import _event_blocks, simulate_walk
 
 __all__ = [
     "PathOutcome",
@@ -277,16 +277,20 @@ def estimate_occupancy(
     if total_time == 0:
         return OccupancyEstimate(n_min, n_max, np.zeros(size), 0.0)
 
-    traj = simulate_walk(rf, up_law, down_law, total_time, seed, z0)
-    starts = np.concatenate(([0.0], traj.times))
-    zvals = np.concatenate(([z0], traj.z_after))
-    ends = np.concatenate((traj.times, [total_time]))
-    durs = ends - starts
-
-    cells = np.floor(zvals).astype(np.int64) + 1
+    # Each holding interval adds its length to the cell it sits in, in
+    # event order and block by block, so the whole path is never held.
     acc = np.zeros(size)
-    inside = (cells >= n_min) & (cells <= n_max)
-    np.add.at(acc, cells[inside] - n_min, durs[inside])
+    t, z = 0.0, z0
+    for times, _jumps, z_after in _event_blocks(rf, up_law, down_law, total_time, seed, z0):
+        starts = np.concatenate(((t,), times[:-1]))
+        zvals = np.concatenate(((z,), z_after[:-1]))
+        cells = np.floor(zvals).astype(np.int64) + 1
+        inside = (cells >= n_min) & (cells <= n_max)
+        np.add.at(acc, cells[inside] - n_min, (times - starts)[inside])
+        t, z = float(times[-1]), float(z_after[-1])
+    last = math.floor(z) + 1
+    if n_min <= last <= n_max:
+        acc[last - n_min] += total_time - t
     return OccupancyEstimate(n_min, n_max, acc / total_time, float(total_time))
 
 
@@ -331,38 +335,24 @@ def balance_residual(occ: OccupancyEstimate, chain: BDChain) -> BalanceResidual:
 def solve_balance_window(chain: BDChain, n_min: int, n_max: int) -> OccupancyEstimate:
     """Exact stationary masses on [n_min, n_max] with reflecting closure.
 
-    Solves the tridiagonal balance system whose interior rows are the
-    free-form relation and whose boundary rows reflect the walk back
-    into the window, normalized to total mass 1.  Interior residuals of
-    the returned masses vanish to solver precision, which makes this the
-    reference input for ``balance_residual``.
+    A birth-death chain reflected at both window ends is reversible, so
+    its stationary masses satisfy detailed balance across every edge,
+    ``p[n+1] * mu[n+1] = p[n] * lam[n]``.  The masses are that product
+    taken in log space (shifted by its maximum, so long or steep windows
+    neither overflow nor underflow to all zeros), exponentiated and
+    normalized to total mass 1: O(k) for k cells, with no linear solve.
+    Interior residuals of the returned masses vanish to rounding, which
+    makes this the reference input for ``balance_residual``.
     """
     if n_min >= n_max:
         raise ValueError("window must contain at least two cells")
     if chain.n_min > n_min or chain.n_max < n_max:
         raise ValueError("chain window must cover the requested window")
 
-    ns = np.arange(n_min, n_max + 1)
-    lam, mu = chain.rates_at(ns)
-    k = ns.size
-
-    a = np.zeros((k, k))
-    a[0, 0] = -lam[0]
-    a[0, 1] = mu[1]
-    for i in range(1, k - 1):
-        a[i, i - 1] = lam[i - 1]
-        a[i, i] = -(lam[i] + mu[i])
-        a[i, i + 1] = mu[i + 1]
-    a[k - 1, k - 2] = lam[k - 2]
-    a[k - 1, k - 1] = -mu[k - 1]
-
-    # Rank is k-1; swap the last balance row for the normalization.
-    a[k - 1, :] = 1.0
-    b = np.zeros(k)
-    b[k - 1] = 1.0
-    p = np.linalg.solve(a, b)
-    if np.any(p < -1e-12):
-        raise ArithmeticError("stationary solve produced negative mass")
-    p = np.maximum(p, 0.0)
+    lam, mu = chain.rates_at(np.arange(n_min, n_max + 1))
+    log_p = np.concatenate(((0.0,), np.cumsum(np.log(lam[:-1]) - np.log(mu[1:]))))
+    if not np.all(np.isfinite(log_p)):
+        raise ArithmeticError("stationary masses are not finite")
+    p = np.exp(log_p - log_p.max())
     p = p / p.sum()
     return OccupancyEstimate(n_min, n_max, p, math.inf)

@@ -21,6 +21,7 @@ max(|x|, x_floor) and extend to x < 0 through |x|, which keeps the
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -238,7 +239,7 @@ class MeanReverting(DriftField):
 
         def f(x: float, t: float) -> float:
             if x == 0.0:
-                return 0.0
+                return -0.0  # phi's sign bit there: -(kappa/2) * sign(0) * 0
             ax = x if x > 0.0 else -x
             m = ax / fl
             if m > 0.5:
@@ -321,8 +322,39 @@ class Tabulated(DriftField):
         return _as_result(self._clip(np.array(v)))
 
     def scalar_phi(self) -> ScalarPhi:
+        # Same floor, clamps, cell lookup and left-to-right four-term sum
+        # as ``phi``, in plain floats, so both agree bit for bit.
+        xs = self.x_grid.tolist()
+        ts = self.t_grid.tolist()
+        vs = self.values.tolist()
+        x_lo, x_hi, ix_max = xs[0], xs[-1], len(xs) - 2
+        t_lo, t_hi, it_max = ts[0], ts[-1], len(ts) - 2
+        fl = self.x_floor
+        hi = PHI_MAX
+
         def f(x: float, t: float) -> float:
-            return float(self.phi(x, t))
+            qx = x if x >= 0.0 else -x
+            if qx < fl:
+                qx = fl
+            qx = x_lo if qx < x_lo else (x_hi if qx > x_hi else qx)
+            qt = t_lo if t < t_lo else (t_hi if t > t_hi else t)
+            ix = bisect_right(xs, qx) - 1
+            ix = 0 if ix < 0 else (ix_max if ix > ix_max else ix)
+            it = bisect_right(ts, qt) - 1
+            it = 0 if it < 0 else (it_max if it > it_max else it)
+            x0 = xs[ix]
+            t0 = ts[it]
+            wx = (qx - x0) / (xs[ix + 1] - x0)
+            wt = (qt - t0) / (ts[it + 1] - t0)
+            row0 = vs[ix]
+            row1 = vs[ix + 1]
+            v = (
+                row0[it] * (1 - wx) * (1 - wt)
+                + row1[it] * wx * (1 - wt)
+                + row0[it + 1] * (1 - wx) * wt
+                + row1[it + 1] * wx * wt
+            )
+            return 0.0 if v < 0.0 else (hi if v > hi else v)
 
         return f
 

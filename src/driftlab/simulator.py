@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,13 +87,11 @@ def simulate_walk(
     """Simulate one path on (0, horizon] starting from z0 at time 0."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    rng = np.random.default_rng(seed)
-
-    if isinstance(rf.drift, Zero):
-        times, jumps, z_after = _run_driftless(rng, up_law, down_law, horizon, z0)
+    blocks = list(_event_blocks(rf, up_law, down_law, horizon, seed, z0))
+    if blocks:
+        times, jumps, z_after = (np.concatenate(part) for part in zip(*blocks))
     else:
-        times, jumps, z_after = _run_generic(rng, rf, up_law, down_law, horizon, z0)
-
+        times, jumps, z_after = np.array([]), np.array([]), np.array([])
     return Trajectory(
         seed=seed,
         horizon=horizon,
@@ -104,87 +102,60 @@ def simulate_walk(
     )
 
 
-def _run_generic(
-    rng: np.random.Generator,
+def _event_blocks(
     rf: RateField,
     up_law: JumpLaw,
     down_law: JumpLaw,
     horizon: float,
+    seed: int,
     z0: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    phi = rf.drift.scalar_phi()
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The path's events as (times, signed jumps, z_after) arrays, one
+    non-empty tuple per draw block of at most ``_BLOCK`` events."""
+    if horizon <= 0.0:
+        return
+    rng = np.random.default_rng(seed)
+    phi = None if isinstance(rf.drift, Zero) else rf.drift.scalar_phi()
     t = 0.0
     z = z0
-    times: list[float] = []
-    jumps: list[float] = []
-    zs: list[float] = []
-    t_app, j_app, z_app = times.append, jumps.append, zs.append
-
-    done = horizon <= 0.0
-    while not done:
-        dts = rng.exponential(1.0, _BLOCK).tolist()
-        us = rng.random(_BLOCK).tolist()
-        ups = up_law.sample_block(rng, _BLOCK).tolist()
-        dns = down_law.sample_block(rng, _BLOCK).tolist()
-        for i in range(_BLOCK):
-            tn = t + dts[i]
-            if tn > horizon:
-                done = True
-                break
-            t = tn
-            if us[i] < 0.5 + phi(z, tn):
-                j = ups[i]
-            else:
-                j = -dns[i]
-            z += j
-            t_app(tn)
-            j_app(j)
-            z_app(z)
-
-    return np.array(times), np.array(jumps), np.array(zs)
-
-
-def _run_driftless(
-    rng: np.random.Generator,
-    up_law: JumpLaw,
-    down_law: JumpLaw,
-    horizon: float,
-    z0: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # phi == 0: the direction split never looks at the state, so whole
-    # blocks vectorize.  Same draw recipe as the generic loop.
-    t = 0.0
-    z = z0
-    t_parts: list[np.ndarray] = []
-    j_parts: list[np.ndarray] = []
-    z_parts: list[np.ndarray] = []
-
-    done = horizon <= 0.0
-    while not done:
+    while True:
         dts = rng.exponential(1.0, _BLOCK)
         us = rng.random(_BLOCK)
         ups = up_law.sample_block(rng, _BLOCK)
         dns = down_law.sample_block(rng, _BLOCK)
-        # Seeding the cumsum with the carry keeps every partial sum the
-        # exact left-fold the scalar loop would compute, bit for bit.
-        tb = np.cumsum(np.concatenate(((t,), dts)))[1:]
-        k = int(np.searchsorted(tb, horizon, side="right"))
+        if phi is None:
+            # phi == 0: the direction split never looks at the state, so
+            # the block vectorizes.  Seeding each cumsum with the carry
+            # keeps every partial sum the exact left-fold of the scalar
+            # loop below, bit for bit.
+            tb = np.cumsum(np.concatenate(((t,), dts)))[1:]
+            k = int(np.searchsorted(tb, horizon, side="right"))
+            sj = np.where(us[:k] < 0.5, ups[:k], -dns[:k])
+            zb = np.cumsum(np.concatenate(((z,), sj)))[1:]
+            tb = tb[:k]
+        else:
+            times: list[float] = []
+            jumps: list[float] = []
+            zs: list[float] = []
+            t_app, j_app, z_app = times.append, jumps.append, zs.append
+            for dt, u, up, dn in zip(dts.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
+                tn = t + dt
+                if tn > horizon:
+                    break
+                t = tn
+                j = up if u < 0.5 + phi(z, tn) else -dn
+                z += j
+                t_app(tn)
+                j_app(j)
+                z_app(z)
+            tb, sj, zb = np.array(times), np.array(jumps), np.array(zs)
+            k = tb.size
+        if k:
+            t = float(tb[-1])
+            z = float(zb[-1])
+            yield tb, sj, zb
         if k < _BLOCK:
-            done = True
-        if k == 0:
-            break
-        sj = np.where(us[:k] < 0.5, ups[:k], -dns[:k])
-        zb = np.cumsum(np.concatenate(((z,), sj)))[1:]
-        t_parts.append(tb[:k])
-        j_parts.append(sj)
-        z_parts.append(zb)
-        t = float(tb[-1])
-        z = float(zb[-1])
-
-    if not t_parts:
-        empty = np.array([])
-        return empty, empty.copy(), empty.copy()
-    return np.concatenate(t_parts), np.concatenate(j_parts), np.concatenate(z_parts)
+            return
 
 
 def simulate_compound_poisson(

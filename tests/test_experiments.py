@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from driftlab.classifier import BDChain, discretize_to_bd
+from driftlab.classifier import BDChain, discretize_to_bd, ratio_family_chain
 from driftlab.experiments import (
     OccupancyEstimate,
     RecurrenceExperiment,
@@ -21,13 +22,19 @@ from driftlab.fields import (
     Constant1,
     CriticalLamperti,
     ExponentialMean1,
+    GammaMean1,
     MeanReverting,
     RateField,
     Zero,
 )
+from driftlab.simulator import simulate_walk
 
 ZERO = RateField(Zero())
 MR = RateField(MeanReverting(kappa=0.2))
+BALANCE_WINDOWS = [
+    (discretize_to_bd(MR, -1001, 1001), (-1000, 1000)),
+    (ratio_family_chain(0.5, 1, 2000), (1, 2000)),
+]
 
 
 def quiet_run(exp):
@@ -231,6 +238,45 @@ class TestOccupancy:
         assert np.array_equal(a.p_star, b.p_star)
 
 
+def materialized_occupancy(rf, up_law, down_law, total_time, window, seed, z0=0.0):
+    """Reference: one np.add.at over the whole materialized trajectory."""
+    n_min, n_max = window
+    traj = simulate_walk(rf, up_law, down_law, total_time, seed, z0)
+    starts = np.concatenate(([0.0], traj.times))
+    zvals = np.concatenate(([z0], traj.z_after))
+    ends = np.concatenate((traj.times, [total_time]))
+    cells = np.floor(zvals).astype(np.int64) + 1
+    acc = np.zeros(n_max - n_min + 1)
+    inside = (cells >= n_min) & (cells <= n_max)
+    np.add.at(acc, cells[inside] - n_min, (ends - starts)[inside])
+    return traj, acc / total_time
+
+
+class TestStreamedOccupancy:
+    """The block-streamed estimate equals the materialized one bit for bit."""
+
+    def check(self, total_time, window, seed, z0=0.0, laws=(ExponentialMean1(), GammaMean1(k=2.0))):
+        occ = estimate_occupancy(MR, *laws, total_time, window, seed, z0)
+        traj, want = materialized_occupancy(MR, *laws, total_time, window, seed, z0)
+        assert occ.p_star.view(np.int64).tolist() == want.view(np.int64).tolist()
+        return traj, occ
+
+    def test_path_spanning_several_blocks(self):
+        traj, _ = self.check(1.5e4, (-40, 40), seed=95, z0=0.25)
+        assert traj.n_events > 3 * 4096
+
+    def test_horizon_before_the_first_event(self):
+        first_wait = np.random.default_rng(96).exponential(1.0, 4096)[0]
+        traj, occ = self.check(0.5 * first_wait, (-3, 3), seed=96, z0=1.5)
+        assert traj.n_events == 0
+        assert occ.cell(2) == 1.0
+
+    def test_path_leaving_the_window(self):
+        traj, occ = self.check(6e3, (-2, 3), seed=97, laws=(Constant1(), Constant1()))
+        assert np.any((traj.z_after < -3) | (traj.z_after >= 3))
+        assert 0.0 < float(occ.p_star.sum()) < 1.0
+
+
 class TestBalance:
     def test_zero_mass_zero_residual(self):
         chain = discretize_to_bd(MR, -10, 10)
@@ -276,9 +322,68 @@ class TestBalance:
         with pytest.raises(ValueError):
             balance_residual(OccupancyEstimate(-4, -3, np.zeros(2), 1.0), chain)
 
+    @pytest.mark.parametrize("chain,window", BALANCE_WINDOWS)
+    def test_detailed_balance_matches_the_dense_solve(self, chain, window):
+        p = solve_balance_window(chain, *window).p_star
+        want = dense_balance_solve(chain, *window)
+        # Against the 60-digit product below, the dense solve itself is off
+        # by up to 2.8e-11 of the largest mass on these windows.
+        np.testing.assert_allclose(p, want, rtol=1e-12, atol=1e-10 * want.max())
+
+    @pytest.mark.parametrize("chain,window", BALANCE_WINDOWS)
+    def test_detailed_balance_matches_a_high_precision_product(self, chain, window):
+        p = solve_balance_window(chain, *window).p_star
+        np.testing.assert_allclose(p, decimal_balance_product(chain, *window), rtol=1e-12)
+
+    def test_steep_window_beyond_float64_range(self):
+        # lam/mu = 3 exactly, so a linear-space product (3^800) overflows.
+        k = 801
+        chain = BDChain(0, k - 1, lam=np.full(k, 0.75), mu=np.full(k, 0.25))
+        with np.errstate(over="ignore"):
+            assert np.prod(chain.lam[:-1] / chain.mu[1:]) == np.inf
+        p = solve_balance_window(chain, 0, k - 1).p_star
+        # Rounding in the log-space sum grows with |log p|, so the tail
+        # masses far below the top carry up to ~2e-11 relative error.
+        np.testing.assert_allclose(p, decimal_balance_product(chain, 0, k - 1), rtol=1e-12, atol=1e-15)
+
+    def test_non_finite_rates_raise(self):
+        chain = BDChain(0, 3, lam=[0.5, np.inf, 0.5, 0.5], mu=[0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ArithmeticError, match="finite"):
+            solve_balance_window(chain, 0, 3)
+
     def test_solver_window_validation(self):
         chain = discretize_to_bd(MR, -5, 5)
         with pytest.raises(ValueError):
             solve_balance_window(chain, 3, 3)
         with pytest.raises(ValueError):
             solve_balance_window(chain, -6, 4)
+
+
+def decimal_balance_product(chain, n_min, n_max):
+    """Reference: the detailed-balance product in 60-digit decimal arithmetic."""
+    lam, mu = chain.rates_at(np.arange(n_min, n_max + 1))
+    with decimal.localcontext(decimal.Context(prec=60)):
+        p = [decimal.Decimal(1)]
+        for i in range(lam.size - 1):
+            p.append(p[-1] * decimal.Decimal(lam[i]) / decimal.Decimal(mu[i + 1]))
+        total = sum(p)
+        return np.array([float(v / total) for v in p])
+
+
+def dense_balance_solve(chain, n_min, n_max):
+    """Reference: the k x k reflecting balance system, last row swapped for
+    the normalization, solved densely."""
+    lam, mu = chain.rates_at(np.arange(n_min, n_max + 1))
+    k = lam.size
+    a = np.zeros((k, k))
+    a[0, 0] = -lam[0]
+    a[0, 1] = mu[1]
+    for i in range(1, k - 1):
+        a[i, i - 1] = lam[i - 1]
+        a[i, i] = -(lam[i] + mu[i])
+        a[i, i + 1] = mu[i + 1]
+    a[k - 1, :] = 1.0
+    b = np.zeros(k)
+    b[k - 1] = 1.0
+    p = np.maximum(np.linalg.solve(a, b), 0.0)
+    return p / p.sum()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from driftlab.fields import (
@@ -290,3 +290,65 @@ def test_power_law_rates_always_valid(rho, alpha, beta, x, t):
     lam, mu = eval_rates(rf, x, t)
     assert lam + mu == 1.0
     assert 0.0 <= mu <= 0.5 <= lam <= 1.0
+
+
+# Every scalar fast path must reproduce the vectorized phi bit for bit:
+# the event loops use one and the chain discretization the other.
+# Queries stay within |x| <= 1e6, where c / (4|x|) and (c/4) / |x| round
+# alike (the two orders part only on overflow or subnormal results).
+DECAYING_TABLE = Tabulated(
+    x_grid=[0.0, 5.0, 20.0, 100.0],
+    t_grid=[0.0, 1000.0, 20000.0],
+    values=[[0.20, 0.15, 0.10], [0.10, 0.08, 0.05], [0.04, 0.03, 0.02], [0.01, 0.01, 0.005]],
+)
+# Starts above x_floor and above t = 0, and clips to PHI_MAX near the origin.
+OFFSET_TABLE = Tabulated(
+    x_grid=[1.5, 3.0, 40.0],
+    t_grid=[5.0, 60.0, 900.0],
+    values=[[0.6, 0.3, 0.2], [0.2, 0.1, 0.05], [0.05, 0.0, 0.0]],
+    x_floor=0.5,
+)
+EDGE_X = sorted(
+    {s * v for s in (1.0, -1.0) for v in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0, 40.0, 100.0, 1e6)}
+)
+EDGE_T = [0.0, 2.5, 5.0, 60.0, 900.0, 1000.0, 1800.0, 20000.0, 4e4, 1e9]
+
+SCALAR_PATH_FIELDS = [
+    Zero(),
+    CriticalLamperti(c=0.5),
+    CriticalLamperti(c=3.0, x_floor=2.0),
+    MeanReverting(kappa=0.3),
+    MeanReverting(kappa=5.0, x_floor=0.5),
+    DECAYING_TABLE,
+    OFFSET_TABLE,
+    pytest.param(
+        PowerLaw(rho=0.1, alpha=-0.5, beta=0.25),
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="numpy's vectorized power and libm pow differ by up to 4 ulp on "
+            "7.2% of log-uniform random points (3e5 sampled, x in 1e-2..1e4, "
+            "t in 1e-2..1e6); fixing either side changes seeded outputs",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("field", SCALAR_PATH_FIELDS)
+# No shrinking: the strict xfail would otherwise shrink for a minute.
+@settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    xs=st.lists(st.floats(-1e6, 1e6) | st.sampled_from(EDGE_X), min_size=1, max_size=20),
+    ts=st.lists(st.floats(0.0, 1e9) | st.sampled_from(EDGE_T), min_size=1, max_size=20),
+)
+def test_scalar_phi_matches_phi_bit_for_bit(field, seed, xs, ts):
+    # Each example also checks 500 log-uniform points from its seed, so a
+    # family that differs on a few percent of points fails every example.
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], 500)
+    x = np.concatenate((np.repeat(xs, len(ts)), sign * 10.0 ** rng.uniform(-2, 4, 500)))
+    t = np.concatenate((np.tile(ts, len(xs)), 10.0 ** rng.uniform(-2, 6, 500)))
+    f = field.scalar_phi()
+    scalar = np.array([f(a, b) for a, b in zip(x.tolist(), t.tolist())])
+    vector = np.asarray(field.phi(x, t), float)
+    assert np.array_equal(scalar.view(np.int64), vector.view(np.int64))
