@@ -26,7 +26,7 @@ import numpy as np
 from .classifier import BDChain
 from .fields import JumpLaw, RateField
 from .seeding import path_seed
-from .simulator import _event_blocks, simulate_walk
+from .simulator import _batch_chunks, _event_blocks
 
 __all__ = [
     "PathOutcome",
@@ -127,35 +127,47 @@ class ExperimentReport:
         }
 
 
-def _analyze_path(exp: RecurrenceExperiment, index: int) -> PathOutcome:
-    seed = path_seed(exp.seed, index)
-    traj = simulate_walk(
-        exp.rate_field, exp.up_law, exp.down_law, exp.horizon, seed, exp.z0
-    )
-    z = traj.z_after
-    reached = False
-    t_hit = math.nan
-    returned = False
-    if z.size:
-        absz = np.abs(z)
-        hit = absz >= exp.level
-        if hit.any():
-            i = int(np.argmax(hit))
-            reached = True
-            t_hit = float(traj.times[i])
-            returned = bool(np.any(absz[i + 1 :] <= exp.band))
-    return PathOutcome(
-        path=index,
-        seed=seed,
-        reached_level=reached,
-        first_hit_time=t_hit,
-        returned=returned,
-        final_z=traj.final_z,
-    )
-
-
 def _run_path_range(exp: RecurrenceExperiment, start: int, stop: int) -> list[PathOutcome]:
-    return [_analyze_path(exp, i) for i in range(start, stop)]
+    """Outcomes of paths start..stop-1, reduced chunk by chunk from the
+    lockstep engine: first event with |z| >= level, any |z| <= band
+    strictly after it, and the last z (z0 when there are no events)."""
+    seeds = [path_seed(exp.seed, i) for i in range(start, stop)]
+    n = len(seeds)
+    reached = np.zeros(n, dtype=bool)
+    returned = np.zeros(n, dtype=bool)
+    t_hit = np.full(n, math.nan)
+    final_z = np.full(n, exp.z0, dtype=float)
+    chunks = _batch_chunks(
+        exp.rate_field, exp.up_law, exp.down_law, exp.horizon, seeds, exp.z0
+    )
+    for rows, times, z_after, counts in chunks:
+        at = np.arange(rows.size)
+        cols = np.arange(z_after.shape[1])
+        valid = cols < counts[:, None]
+        absz = np.abs(z_after)
+        hit = valid & (absz >= exp.level)
+        first = np.argmax(hit, axis=1)
+        new = hit[at, first] & ~reached[rows]
+        # a return counts strictly after the first hit: every column of a
+        # path that reached in an earlier chunk, the later columns of one
+        # that reaches in this chunk
+        after = np.where(reached[rows], -1, np.where(new, first, cols.size))
+        back = valid & (absz <= exp.band) & (cols > after[:, None])
+        returned[rows] |= back.any(axis=1)
+        t_hit[rows[new]] = times[new, first[new]]
+        reached[rows] |= new
+        final_z[rows] = z_after[at, counts - 1]
+    return [
+        PathOutcome(
+            path=start + i,
+            seed=seeds[i],
+            reached_level=bool(reached[i]),
+            first_hit_time=float(t_hit[i]),
+            returned=bool(returned[i]),
+            final_z=float(final_z[i]),
+        )
+        for i in range(n)
+    ]
 
 
 def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
@@ -177,7 +189,8 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
     if workers == 1 or exp.n_paths < 4:
         outcomes = _run_path_range(exp, 0, exp.n_paths)
     else:
-        chunk = max(1, math.ceil(exp.n_paths / (4 * workers)))
+        # one contiguous span, hence one engine batch, per worker
+        chunk = math.ceil(exp.n_paths / workers)
         spans = [
             (s, min(s + chunk, exp.n_paths)) for s in range(0, exp.n_paths, chunk)
         ]

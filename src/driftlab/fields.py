@@ -384,15 +384,6 @@ class RateField:
     def limit_rates(self, x: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         return self.rates(x, self.t_proxy)
 
-    def scalar_rates(self) -> Callable[[float, float], tuple[float, float]]:
-        phi = self.drift.scalar_phi()
-
-        def f(x: float, t: float) -> tuple[float, float]:
-            lam = 0.5 + phi(x, t)
-            return lam, 1.0 - lam
-
-        return f
-
 
 class JumpLaw:
     """Positive jump sizes with mean exactly 1 and finite variance."""

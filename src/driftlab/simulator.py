@@ -13,7 +13,29 @@ exact and consumes a fixed number of draws per event.
 Draw recipe per block of 4096 events, in order: inter-event waits,
 direction uniforms, up-marks, down-marks.  The recipe is part of the
 determinism contract: a (seed, config) pair reproduces trajectories
-byte-for-byte.
+byte-for-byte.  The block whose waits cross the horizon (k < 4096
+events) is the path's last, and nothing is drawn after it, so it is
+drawn lazily: its k uniforms (the other 4096 - k are skipped with
+``advance``, one 64-bit word each), its full up-mark block (a law may
+use a variable number of words per mark, which positions the down
+marks) and its k down marks.  The values used are the full recipe's.
+
+Two engines read the recipe.  ``_event_blocks`` runs one path with the
+scalar ``scalar_phi`` closure; single-path commands, occupancy and the
+second-moment check use it.  ``_batch_chunks`` runs an ensemble in
+lockstep, one event of every live path per step, with the vectorized
+``phi`` evaluated across paths; the band-return experiment uses it, and
+its worker processes each run one contiguous span of paths.  Each path
+keeps its own generator, which at every block start positions four
+cursor generators at the block's waits, uniforms, up marks and down
+marks (through ``bit_generator.state``); the cursors then draw the
+block 128 events at a time into buffers reused across chunks, so the
+engine holds O(paths x 128) draws, never a (paths, 4096) block, and
+paths run in sub-batches of at most 512.  Its paths equal
+``_event_blocks``' bit for bit wherever ``phi`` and ``scalar_phi``
+agree, which they do for every family except ``PowerLaw`` (numpy's
+``power`` and libm's ``pow`` differ by up to 4 ulp), where a direction
+flips only if a uniform lands within those ulp of its threshold.
 """
 
 from __future__ import annotations
@@ -41,6 +63,8 @@ __all__ = [
 ]
 
 _BLOCK = 4096
+_CHUNK = 128  # events per lockstep chunk of _batch_chunks
+_BATCH = 512  # paths per lockstep sub-batch of _batch_chunks
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
@@ -64,16 +88,6 @@ class Trajectory:
     @property
     def final_z(self) -> float:
         return float(self.z_after[-1]) if self.times.size else self.z0
-
-    def up_component(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times and marks of the up-jumps (a compound process on its own)."""
-        m = self.jumps > 0
-        return self.times[m], self.jumps[m]
-
-    def down_component(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times and (positive) marks of the down-jumps."""
-        m = self.jumps < 0
-        return self.times[m], -self.jumps[m]
 
 
 def simulate_walk(
@@ -102,6 +116,14 @@ def simulate_walk(
     )
 
 
+def _block_times(rng: np.random.Generator, t: float, horizon: float) -> np.ndarray:
+    """Draw a block's ``_BLOCK`` waits and return its event times up to
+    the horizon.  Seeding the cumsum with the carried time t makes every
+    partial sum the exact left fold ``t + dt`` of a scalar loop."""
+    tb = np.cumsum(np.concatenate(((t,), rng.exponential(1.0, _BLOCK))))[1:]
+    return tb[: int(np.searchsorted(tb, horizon, side="right"))]
+
+
 def _event_blocks(
     rf: RateField,
     up_law: JumpLaw,
@@ -111,7 +133,8 @@ def _event_blocks(
     z0: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The path's events as (times, signed jumps, z_after) arrays, one
-    non-empty tuple per draw block of at most ``_BLOCK`` events."""
+    non-empty tuple per draw block of at most ``_BLOCK`` events.  The
+    final block is drawn lazily, as the module docstring describes."""
     if horizon <= 0.0:
         return
     rng = np.random.default_rng(seed)
@@ -119,43 +142,136 @@ def _event_blocks(
     t = 0.0
     z = z0
     while True:
-        dts = rng.exponential(1.0, _BLOCK)
-        us = rng.random(_BLOCK)
-        ups = up_law.sample_block(rng, _BLOCK)
-        dns = down_law.sample_block(rng, _BLOCK)
+        tb = _block_times(rng, t, horizon)
+        k = tb.size
+        if k == 0:
+            return
+        us = rng.random(k)
+        if k < _BLOCK:
+            # every uniform is one 64-bit word, so skip the unused ones
+            rng.bit_generator.advance(_BLOCK - k)
+        ups = up_law.sample_block(rng, _BLOCK)[:k]
+        dns = down_law.sample_block(rng, k)
         if phi is None:
             # phi == 0: the direction split never looks at the state, so
-            # the block vectorizes.  Seeding each cumsum with the carry
-            # keeps every partial sum the exact left-fold of the scalar
-            # loop below, bit for bit.
-            tb = np.cumsum(np.concatenate(((t,), dts)))[1:]
-            k = int(np.searchsorted(tb, horizon, side="right"))
-            sj = np.where(us[:k] < 0.5, ups[:k], -dns[:k])
+            # the block vectorizes; the carried cumsum is the left fold.
+            sj = np.where(us < 0.5, ups, -dns)
             zb = np.cumsum(np.concatenate(((z,), sj)))[1:]
-            tb = tb[:k]
         else:
-            times: list[float] = []
             jumps: list[float] = []
             zs: list[float] = []
-            t_app, j_app, z_app = times.append, jumps.append, zs.append
-            for dt, u, up, dn in zip(dts.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
-                tn = t + dt
-                if tn > horizon:
-                    break
-                t = tn
+            j_app, z_app = jumps.append, zs.append
+            for tn, u, up, dn in zip(tb.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
                 j = up if u < 0.5 + phi(z, tn) else -dn
                 z += j
-                t_app(tn)
                 j_app(j)
                 z_app(z)
-            tb, sj, zb = np.array(times), np.array(jumps), np.array(zs)
-            k = tb.size
-        if k:
-            t = float(tb[-1])
-            z = float(zb[-1])
-            yield tb, sj, zb
+            sj, zb = np.array(jumps), np.array(zs)
+        t = float(tb[-1])
+        z = float(zb[-1])
+        yield tb, sj, zb
         if k < _BLOCK:
             return
+
+
+def _batch_chunks(
+    rf: RateField,
+    up_law: JumpLaw,
+    down_law: JumpLaw,
+    horizon: float,
+    seeds: Sequence[int],
+    z0: float,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The paths of ``_event_blocks`` for each of ``seeds``, advanced in
+    lockstep, one event of every live path per step.
+
+    Yields ``(rows, times, z_after, counts)`` per chunk of at most
+    ``_CHUNK`` events: row i of the ``times`` and ``z_after`` views holds
+    the next ``counts[i]`` events of path ``seeds[rows[i]]``; columns past
+    a row's count are padding.  The views are overwritten by the next
+    chunk, so a consumer reduces them before asking for it.
+
+    Each path keeps its generator, which only positions four cursor
+    generators at every block start (waits, direction uniforms, up marks,
+    down marks), and the cursors then draw the block chunk by chunk, so
+    memory grows with ``_BATCH * _CHUNK``, not with the block.  The field
+    is evaluated across paths with the vectorized ``phi``.
+    """
+    if horizon <= 0.0:
+        return
+    drift = None if isinstance(rf.drift, Zero) else rf.drift
+    width = min(_BATCH, len(seeds))
+    # A new PCG64 costs ~20 us, so the cursors are made once and reused.
+    pool = [[np.random.Generator(np.random.PCG64(0)) for _ in range(4)] for _ in range(width)]
+    # waits (then times), uniforms, up marks, down marks (negated), z_after
+    tt, uu, aa, dd, zz = np.zeros((5, width, _CHUNK))
+    for lo in range(0, len(seeds), _BATCH):
+        rngs = [np.random.default_rng(s) for s in seeds[lo : lo + _BATCH]]
+        live = np.arange(len(rngs))
+        t_carry = np.zeros(len(rngs))
+        z_carry = np.full(len(rngs), z0, dtype=float)
+        while live.size:
+            k = np.array([_position(rngs[p], pool[p], t_carry[p], horizon, up_law, down_law)
+                          for p in live.tolist()])
+            for j0 in range(0, int(k.max()), _CHUNK):
+                counts = np.minimum(k - j0, _CHUNK)
+                on = counts > 0
+                rows, counts = live[on], counts[on]
+                nr, steps = rows.size, int(counts.max())
+                t, u, a, d, z = (b[:nr, :steps] for b in (tt, uu, aa, dd, zz))
+                for i, (p, n) in enumerate(zip(rows.tolist(), counts.tolist())):
+                    cw, cu, ca, cd = pool[p]
+                    t[i, :n] = cw.exponential(1.0, n)
+                    u[i, :n] = cu.random(n)
+                    a[i, :n] = up_law.sample_block(ca, n)
+                    d[i, :n] = down_law.sample_block(cd, n)
+                    if n < steps:
+                        # zero waits and jumps keep the ignored lanes finite
+                        t[i, n:] = u[i, n:] = a[i, n:] = d[i, n:] = 0.0
+                np.negative(d, out=d)
+                t[:, 0] += t_carry[rows]
+                np.cumsum(t, axis=1, out=t)
+                if drift is None:
+                    np.copyto(z, np.where(u < 0.5, a, d))
+                    z[:, 0] += z_carry[rows]
+                    np.cumsum(z, axis=1, out=z)
+                else:
+                    zs = z_carry[rows]
+                    for s in range(steps):
+                        up = u[:, s] < 0.5 + drift.phi(zs, t[:, s])
+                        zs = z[:, s] = zs + np.where(up, a[:, s], d[:, s])
+                last = (np.arange(nr), counts - 1)
+                t_carry[rows] = t[last]
+                z_carry[rows] = z[last]
+                yield rows + lo, t, z, counts
+            # a block short of _BLOCK events is the path's last, however
+            # close its last event is to the horizon
+            live = live[k == _BLOCK]
+
+
+def _position(
+    rng: np.random.Generator,
+    cursors: list[np.random.Generator],
+    t: float,
+    horizon: float,
+    up_law: JumpLaw,
+    down_law: JumpLaw,
+) -> int:
+    """Put the four cursors at the starts of the block's waits, uniforms,
+    up marks and down marks; move ``rng`` past the block when the path
+    goes on after it.  Returns the block's event count k."""
+    cw, cu, ca, cd = cursors
+    cw.bit_generator.state = rng.bit_generator.state
+    k = _block_times(rng, t, horizon).size
+    if k:
+        cu.bit_generator.state = rng.bit_generator.state
+        rng.bit_generator.advance(_BLOCK)  # one 64-bit word per uniform
+        ca.bit_generator.state = rng.bit_generator.state
+        up_law.sample_block(rng, _BLOCK)
+        cd.bit_generator.state = rng.bit_generator.state
+        if k == _BLOCK:
+            down_law.sample_block(rng, _BLOCK)
+    return k
 
 
 def simulate_compound_poisson(

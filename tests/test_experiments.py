@@ -1,5 +1,7 @@
+import dataclasses
 import decimal
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,8 +10,10 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from driftlab.classifier import BDChain, discretize_to_bd, ratio_family_chain
+from driftlab import simulator
 from driftlab.experiments import (
     OccupancyEstimate,
+    PathOutcome,
     RecurrenceExperiment,
     balance_residual,
     estimate_occupancy,
@@ -24,9 +28,13 @@ from driftlab.fields import (
     ExponentialMean1,
     GammaMean1,
     MeanReverting,
+    PowerLaw,
     RateField,
+    Tabulated,
+    UniformMean1,
     Zero,
 )
+from driftlab.seeding import path_seed
 from driftlab.simulator import simulate_walk
 
 ZERO = RateField(Zero())
@@ -162,6 +170,127 @@ class TestRecurrenceExperiment:
                 assert not o.returned
         ci = rep.returned_ci
         assert 0.0 <= ci[0] <= rep.returned_fraction <= ci[1] <= 1.0
+
+
+def scalar_outcome(exp, index):
+    """Reference: one materialized ``simulate_walk`` path per outcome."""
+    seed = path_seed(exp.seed, index)
+    traj = simulate_walk(exp.rate_field, exp.up_law, exp.down_law, exp.horizon, seed, exp.z0)
+    reached, t_hit, returned = False, math.nan, False
+    absz = np.abs(traj.z_after)
+    hit = absz >= exp.level
+    if hit.any():
+        i = int(np.argmax(hit))
+        reached, t_hit = True, float(traj.times[i])
+        returned = bool(np.any(absz[i + 1 :] <= exp.band))
+    return PathOutcome(index, seed, reached, t_hit, returned, traj.final_z)
+
+
+def outcome_reprs(outcomes):
+    # repr keeps nan == nan, the float bits and the Python types
+    return [repr(dataclasses.astuple(o)) for o in outcomes]
+
+
+# A small table that decays in t as well as in |x|.
+TABLE = Tabulated(
+    x_grid=[0.0, 5.0, 20.0, 100.0],
+    t_grid=[0.0, 1000.0, 6000.0],
+    values=[[0.20, 0.15, 0.10], [0.10, 0.08, 0.05], [0.04, 0.03, 0.02], [0.01, 0.01, 0.005]],
+)
+ENGINE_FIELDS = [Zero(), CriticalLamperti(c=0.5), MeanReverting(kappa=0.3), TABLE]
+ENGINE_LAWS = [Constant1(), ExponentialMean1(), GammaMean1(k=2.0), UniformMean1(d=0.4)]
+
+
+def first_block_times(seed):
+    """Event times of the first draw block of the path with this seed."""
+    waits = np.random.default_rng(seed).exponential(1.0, 4096)
+    return np.cumsum(np.concatenate(((0.0,), waits)))[1:]
+
+
+def first_block_counts(exp):
+    return [
+        int(np.searchsorted(first_block_times(path_seed(exp.seed, i)), exp.horizon, "right"))
+        for i in range(exp.n_paths)
+    ]
+
+
+EXACT_4096TH = float(first_block_times(path_seed(43, 0))[-1])
+
+
+class TestBatchedEngine:
+    """The lockstep engine reduces every path exactly as the scalar loop."""
+
+    def check(self, exp):
+        want = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
+        assert outcome_reprs(quiet_run(exp).paths) == outcome_reprs(want)
+
+    @pytest.mark.parametrize("field", ENGINE_FIELDS, ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("law", range(len(ENGINE_LAWS)))
+    def test_fields_and_laws_across_the_last_chunk(self, field, law):
+        # about 4070 events per path: most paths end in the last chunk of
+        # their first block, the rest fill it and end early in a second one
+        up, down = ENGINE_LAWS[law], ENGINE_LAWS[(law + 1) % len(ENGINE_LAWS)]
+        exp = RecurrenceExperiment(
+            RateField(field), up, down, 6, 4070.0, 6.0, 1.0, seed=41 + law, z0=0.5
+        )
+        counts = first_block_counts(exp)
+        assert any(4096 - 128 < k < 4096 for k in counts) and 4096 in counts
+        self.check(exp)
+
+    @pytest.mark.parametrize(
+        "horizon", [0.0, 0.5, 60.0, 4070.0, EXACT_4096TH, 9000.0],
+        ids=["zero", "around-first-wait", "first-chunk", "last-chunk", "exact-4096th", "multi-block"],
+    )
+    def test_horizons(self, horizon):
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), GammaMean1(k=2.0), ExponentialMean1(),
+            8, horizon, 2.0, 1.0, seed=43, z0=1.5,
+        )
+        counts = first_block_counts(exp)
+        if horizon == 0.5:  # paths without events beside paths with some
+            assert 0 in counts and max(counts) > 0
+        if horizon == 4070.0:
+            assert any(4096 - 128 < k < 4096 for k in counts)
+        if horizon == EXACT_4096TH:  # a full block, then a block without events
+            assert counts[0] == 4096
+        self.check(exp)
+
+    @pytest.mark.parametrize("chunk", [1, 16])
+    def test_more_paths_than_one_sub_batch(self, monkeypatch, chunk):
+        # chunk 1 puts every event in column 0 of its chunk
+        monkeypatch.setattr(simulator, "_BATCH", 3)
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        exp = RecurrenceExperiment(
+            RateField(TABLE), ExponentialMean1(), UniformMean1(d=0.4), 10, 300.0, 4.0, 1.0,
+            seed=44, z0=-0.5,
+        )
+        self.check(exp)
+
+    def test_more_paths_than_one_sub_batch_at_full_size(self):
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), ExponentialMean1(), Constant1(),
+            simulator._BATCH + 88, 8.0, 2.0, 1.0, seed=47, z0=0.5,
+        )
+        self.check(exp)
+
+    def test_csv_bytes_with_one_and_two_workers(self):
+        exp = RecurrenceExperiment(
+            RateField(TABLE), GammaMean1(k=2.0), Constant1(), 10, 300.0, 4.0, 1.0, seed=45
+        )
+        want = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
+        text = experiment_csv(types.SimpleNamespace(paths=want))
+        for workers in (1, 2):
+            rep = quiet_run(dataclasses.replace(exp, workers=workers))
+            assert experiment_csv(rep) == text
+
+    def test_power_law_fixed_seed(self):
+        # the engine evaluates numpy's power, the scalar loop libm's pow;
+        # they differ by a few ulp, which flips no direction on this seed
+        exp = RecurrenceExperiment(
+            RateField(PowerLaw(rho=0.1, alpha=-0.5, beta=0.25)), Constant1(), Constant1(),
+            12, 3000.0, 10.0, 1.0, seed=46,
+        )
+        self.check(exp)
 
 
 class TestExperimentCsv:

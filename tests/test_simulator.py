@@ -74,8 +74,9 @@ class TestSimulateWalk:
 
     def test_sign_encodes_jump_law(self):
         traj = simulate_walk(ZERO, Constant1(), UniformMean1(d=0.4), 200.0, seed=5)
-        t_up, m_up = traj.up_component()
-        t_dn, m_dn = traj.down_component()
+        up, dn = traj.jumps > 0, traj.jumps < 0
+        t_up, m_up = traj.times[up], traj.jumps[up]
+        t_dn, m_dn = traj.times[dn], -traj.jumps[dn]
         assert np.all(m_up == 1.0)
         assert np.all((m_dn > 0.6) & (m_dn < 1.4))
         assert t_up.size + t_dn.size == traj.n_events
@@ -96,6 +97,51 @@ class TestSimulateWalk:
         assert abs(traj.final_z) < 1500
         frac_up = np.mean(traj.jumps > 0)
         assert frac_up > 0.9
+
+
+def full_block_walk(rf, up_law, down_law, horizon, seed, z0=0.0):
+    """Reference: every block drawn in full (waits, uniforms, up marks,
+    down marks; 4096 each), events split by the scalar loop."""
+    times, jumps, zs = [], [], []
+    rng = np.random.default_rng(seed)
+    phi = rf.drift.scalar_phi()
+    t, z, n = 0.0, z0, 4096
+    while horizon > 0 and n == 4096:
+        dts = rng.exponential(1.0, 4096)
+        us = rng.random(4096)
+        ups = up_law.sample_block(rng, 4096)
+        dns = down_law.sample_block(rng, 4096)
+        n = 0
+        for dt, u, up, dn in zip(dts.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
+            if t + dt > horizon:
+                break
+            t += dt
+            j = up if u < 0.5 + phi(z, t) else -dn
+            z += j
+            times.append(t)
+            jumps.append(j)
+            zs.append(z)
+            n += 1
+    return np.array(times), np.array(jumps), np.array(zs)
+
+
+LAWS = [Constant1(), ExponentialMean1(), GammaMean1(k=2.0), UniformMean1(d=0.4)]
+LAZY_SEED = 71
+# the 4096th event time: a full first block, then a block without events
+EXACT_4096TH = float(np.cumsum(np.random.default_rng(LAZY_SEED).exponential(1.0, 4096))[-1])
+
+
+@pytest.mark.parametrize("rf", [ZERO, RateField(CriticalLamperti(c=0.5))], ids=["zero", "lamperti"])
+@pytest.mark.parametrize("law", range(len(LAWS)))
+@pytest.mark.parametrize("horizon", [0.0, 0.3, 300.0, EXACT_4096TH, 9000.0])
+def test_lazy_final_block_matches_the_full_block_recipe(rf, law, horizon):
+    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
+    traj = simulate_walk(rf, up, down, horizon, seed=LAZY_SEED, z0=0.25)
+    want = full_block_walk(rf, up, down, horizon, LAZY_SEED, z0=0.25)
+    for got, ref in zip((traj.times, traj.jumps, traj.z_after), want):
+        assert got.tobytes() == ref.tobytes()
+    if horizon == EXACT_4096TH:
+        assert traj.n_events == 4096
 
 
 def test_thinning_up_counts_are_poisson_half_rate():
