@@ -391,6 +391,8 @@ class JumpLaw:
     variance: float
 
     def sample(self, rng: np.random.Generator) -> float:
+        """One mark; the same value and generator state as the first of
+        ``sample_block(rng, 1)``.  Laws override it to skip the array."""
         return float(self.sample_block(rng, 1)[0])
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -403,6 +405,9 @@ class Constant1(JumpLaw):
 
     variance = 0.0
 
+    def sample(self, rng: np.random.Generator) -> float:
+        return 1.0
+
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.ones(n)
 
@@ -411,8 +416,11 @@ class Constant1(JumpLaw):
 class ExponentialMean1(JumpLaw):
     variance = 1.0
 
+    def sample(self, rng: np.random.Generator) -> float:
+        return rng.standard_exponential()
+
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(1.0, n)
+        return rng.standard_exponential(n)
 
 
 @dataclass(frozen=True)
@@ -429,8 +437,13 @@ class GammaMean1(JumpLaw):
     def variance(self) -> float:  # type: ignore[override]
         return 1.0 / self.k
 
+    # numpy's gamma(k, scale) is scale * standard_gamma(k); calling the
+    # standard form skips its argument checks and gives the same values.
+    def sample(self, rng: np.random.Generator) -> float:
+        return rng.standard_gamma(self.k) * (1.0 / self.k)
+
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.gamma(self.k, 1.0 / self.k, n)
+        return rng.standard_gamma(self.k, n) * (1.0 / self.k)
 
 
 @dataclass(frozen=True)
@@ -446,6 +459,9 @@ class UniformMean1(JumpLaw):
     @property
     def variance(self) -> float:  # type: ignore[override]
         return self.d * self.d / 3.0
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return rng.uniform(1.0 - self.d, 1.0 + self.d)
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(1.0 - self.d, 1.0 + self.d, n)

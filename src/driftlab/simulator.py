@@ -10,14 +10,20 @@ waits, then split each event up/down with probability lambda vs mu at
 the event time.  No proposal is ever rejected, so the simulation is
 exact and consumes a fixed number of draws per event.
 
-Draw recipe per block of 4096 events, in order: inter-event waits,
-direction uniforms, up-marks, down-marks.  The recipe is part of the
-determinism contract: a (seed, config) pair reproduces trajectories
-byte-for-byte.  The block whose waits cross the horizon (k < 4096
-events) is the path's last, and nothing is drawn after it, so it is
-drawn lazily: its k uniforms (the other 4096 - k are skipped with
-``advance``, one 64-bit word each), its full up-mark block (a law may
-use a variable number of words per mark, which positions the down
+Draw recipe (version 2) per block of n events, in order: n
+inter-event waits, n direction uniforms, n up-marks, n down-marks.  The
+first block of a path holds n = ``_first_block(horizon)`` events, which
+is min(4096, ceil(h + 8 sqrt(h) + 16)) for a horizon h >= 0: the event
+count by h is Poisson(h), so a second block is needed only past about 8
+standard deviations.  Every later block holds 4096.  For
+h >= 3600 the rule gives 4096, so those paths are the version 1
+recipe's (4096 events in every block) bit for bit.  The recipe is part
+of the determinism contract: a (seed, config) pair reproduces
+trajectories byte-for-byte.  The block whose waits cross the
+horizon (k < n events) is the path's last, and nothing is drawn after
+it, so it is drawn lazily: its k uniforms (the other n - k are skipped
+with ``advance``, one 64-bit word each), its full up-mark block (a law
+may use a variable number of words per mark, which positions the down
 marks) and its k down marks.  The values used are the full recipe's.
 
 Two engines read the recipe.  ``_event_blocks`` runs one path with the
@@ -41,6 +47,7 @@ flips only if a uniform lands within those ulp of its threshold.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -62,7 +69,7 @@ __all__ = [
     "trajectory_csv",
 ]
 
-_BLOCK = 4096
+_BLOCK = 4096  # events per draw block after a path's first
 _CHUNK = 128  # events per lockstep chunk of _batch_chunks
 _BATCH = 512  # paths per lockstep sub-batch of _batch_chunks
 
@@ -116,11 +123,19 @@ def simulate_walk(
     )
 
 
-def _block_times(rng: np.random.Generator, t: float, horizon: float) -> np.ndarray:
-    """Draw a block's ``_BLOCK`` waits and return its event times up to
-    the horizon.  Seeding the cumsum with the carried time t makes every
+def _first_block(horizon: float) -> int:
+    """Events in a path's first draw block (recipe version 2): at least
+    16, and ``_BLOCK`` from horizon 3600 on."""
+    if horizon >= 3600.0:  # where the rule reaches _BLOCK; also inf
+        return _BLOCK
+    return math.ceil(horizon + 8.0 * math.sqrt(horizon) + 16.0)
+
+
+def _block_times(rng: np.random.Generator, t: float, horizon: float, n: int) -> np.ndarray:
+    """Draw a block's n waits and return its event times up to the
+    horizon.  Seeding the cumsum with the carried time t makes every
     partial sum the exact left fold ``t + dt`` of a scalar loop."""
-    tb = np.cumsum(np.concatenate(((t,), rng.exponential(1.0, _BLOCK))))[1:]
+    tb = np.cumsum(np.concatenate(((t,), rng.standard_exponential(n))))[1:]
     return tb[: int(np.searchsorted(tb, horizon, side="right"))]
 
 
@@ -133,24 +148,25 @@ def _event_blocks(
     z0: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The path's events as (times, signed jumps, z_after) arrays, one
-    non-empty tuple per draw block of at most ``_BLOCK`` events.  The
-    final block is drawn lazily, as the module docstring describes."""
+    non-empty tuple per draw block.  The blocks' sizes and the lazy
+    final block are the module docstring's recipe."""
     if horizon <= 0.0:
         return
     rng = np.random.default_rng(seed)
     phi = None if isinstance(rf.drift, Zero) else rf.drift.scalar_phi()
     t = 0.0
     z = z0
+    n = _first_block(horizon)
     while True:
-        tb = _block_times(rng, t, horizon)
+        tb = _block_times(rng, t, horizon, n)
         k = tb.size
         if k == 0:
             return
         us = rng.random(k)
-        if k < _BLOCK:
+        if k < n:
             # every uniform is one 64-bit word, so skip the unused ones
-            rng.bit_generator.advance(_BLOCK - k)
-        ups = up_law.sample_block(rng, _BLOCK)[:k]
+            rng.bit_generator.advance(n - k)
+        ups = up_law.sample_block(rng, n)[:k]
         dns = down_law.sample_block(rng, k)
         if phi is None:
             # phi == 0: the direction split never looks at the state, so
@@ -170,8 +186,9 @@ def _event_blocks(
         t = float(tb[-1])
         z = float(zb[-1])
         yield tb, sj, zb
-        if k < _BLOCK:
+        if k < n:
             return
+        n = _BLOCK
 
 
 def _batch_chunks(
@@ -210,8 +227,9 @@ def _batch_chunks(
         live = np.arange(len(rngs))
         t_carry = np.zeros(len(rngs))
         z_carry = np.full(len(rngs), z0, dtype=float)
+        n = _first_block(horizon)  # every live path is in the same block
         while live.size:
-            k = np.array([_position(rngs[p], pool[p], t_carry[p], horizon, up_law, down_law)
+            k = np.array([_position(rngs[p], pool[p], t_carry[p], horizon, n, up_law, down_law)
                           for p in live.tolist()])
             for j0 in range(0, int(k.max()), _CHUNK):
                 counts = np.minimum(k - j0, _CHUNK)
@@ -219,15 +237,15 @@ def _batch_chunks(
                 rows, counts = live[on], counts[on]
                 nr, steps = rows.size, int(counts.max())
                 t, u, a, d, z = (b[:nr, :steps] for b in (tt, uu, aa, dd, zz))
-                for i, (p, n) in enumerate(zip(rows.tolist(), counts.tolist())):
+                for i, (p, c) in enumerate(zip(rows.tolist(), counts.tolist())):
                     cw, cu, ca, cd = pool[p]
-                    t[i, :n] = cw.exponential(1.0, n)
-                    u[i, :n] = cu.random(n)
-                    a[i, :n] = up_law.sample_block(ca, n)
-                    d[i, :n] = down_law.sample_block(cd, n)
-                    if n < steps:
+                    t[i, :c] = cw.standard_exponential(c)
+                    u[i, :c] = cu.random(c)
+                    a[i, :c] = up_law.sample_block(ca, c)
+                    d[i, :c] = down_law.sample_block(cd, c)
+                    if c < steps:
                         # zero waits and jumps keep the ignored lanes finite
-                        t[i, n:] = u[i, n:] = a[i, n:] = d[i, n:] = 0.0
+                        t[i, c:] = u[i, c:] = a[i, c:] = d[i, c:] = 0.0
                 np.negative(d, out=d)
                 t[:, 0] += t_carry[rows]
                 np.cumsum(t, axis=1, out=t)
@@ -244,9 +262,10 @@ def _batch_chunks(
                 t_carry[rows] = t[last]
                 z_carry[rows] = z[last]
                 yield rows + lo, t, z, counts
-            # a block short of _BLOCK events is the path's last, however
+            # a block short of its n events is the path's last, however
             # close its last event is to the horizon
-            live = live[k == _BLOCK]
+            live = live[k == n]
+            n = _BLOCK
 
 
 def _position(
@@ -254,23 +273,24 @@ def _position(
     cursors: list[np.random.Generator],
     t: float,
     horizon: float,
+    n: int,
     up_law: JumpLaw,
     down_law: JumpLaw,
 ) -> int:
-    """Put the four cursors at the starts of the block's waits, uniforms,
-    up marks and down marks; move ``rng`` past the block when the path
-    goes on after it.  Returns the block's event count k."""
+    """Put the four cursors at the starts of the n-event block's waits,
+    uniforms, up marks and down marks; move ``rng`` past the block when
+    the path goes on after it.  Returns the block's event count k."""
     cw, cu, ca, cd = cursors
     cw.bit_generator.state = rng.bit_generator.state
-    k = _block_times(rng, t, horizon).size
+    k = _block_times(rng, t, horizon, n).size
     if k:
         cu.bit_generator.state = rng.bit_generator.state
-        rng.bit_generator.advance(_BLOCK)  # one 64-bit word per uniform
+        rng.bit_generator.advance(n)  # one 64-bit word per uniform
         ca.bit_generator.state = rng.bit_generator.state
-        up_law.sample_block(rng, _BLOCK)
+        up_law.sample_block(rng, n)
         cd.bit_generator.state = rng.bit_generator.state
-        if k == _BLOCK:
-            down_law.sample_block(rng, _BLOCK)
+        if k == n:
+            down_law.sample_block(rng, n)
     return k
 
 
@@ -291,20 +311,22 @@ def simulate_compound_poisson(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     rng = np.random.default_rng(seed)
+    wait, uniform, mark = rng.exponential, rng.random, law.sample
     scale = 1.0 / rate_bound
+    r_max = rate_bound * (1.0 + 1e-12)
     t = 0.0
     times: list[float] = []
     marks: list[float] = []
     while True:
-        t += rng.exponential(scale)
+        t += wait(scale)
         if t > horizon:
             break
         r = rate(t)
-        if r < -1e-15 or r > rate_bound * (1.0 + 1e-12):
+        if r < -1e-15 or r > r_max:
             raise ValueError(f"rate(t)={r} falls outside [0, rate_bound] at t={t}")
-        if rng.random() * rate_bound <= r:
+        if uniform() * rate_bound <= r:
             times.append(t)
-            marks.append(law.sample(rng))
+            marks.append(mark(rng))
     return np.array(times), np.array(marks)
 
 
@@ -327,38 +349,6 @@ def _integrate_rate(rate: Callable[[float], float], a: float, b: float) -> float
     return total
 
 
-def _check_event_stream(times: np.ndarray, marks: np.ndarray) -> None:
-    if times.shape != marks.shape or times.ndim != 1:
-        raise ValueError("times and marks must be 1-d arrays of equal length")
-    if times.size:
-        if times[0] <= 0 or np.any(np.diff(times) <= 0):
-            raise ValueError("event times must be positive and strictly increasing")
-        if np.any(marks <= 0):
-            raise ValueError("marks must be positive")
-
-
-def _compensator_parts(
-    times: np.ndarray,
-    marks: np.ndarray,
-    rate: Callable[[float], float],
-    tau: float,
-) -> tuple[float, float, float, str]:
-    """(completed sum, tail integral, next mark, tail mode) at tau."""
-    n_done = int(np.searchsorted(times, tau, side="right"))
-    total = 0.0
-    prev = 0.0
-    for i in range(n_done):
-        ti = float(times[i])
-        total += float(marks[i]) * _integrate_rate(rate, prev, ti)
-        prev = ti
-    if prev < tau:
-        tail = _integrate_rate(rate, prev, tau)
-        if n_done < times.size:
-            return total, tail, float(marks[n_done]), "next-mark"
-        return total, tail, 1.0, "mean-mark"
-    return total, 0.0, 1.0, "complete"
-
-
 def compensator_literal(
     times: Sequence[float],
     marks: Sequence[float],
@@ -368,13 +358,7 @@ def compensator_literal(
     """Compensator at tau, pricing the open interval with the mark that
     actually arrives next (falls back to the mean, 1, when the stream
     records no event after tau)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    times = np.asarray(times, float)
-    marks = np.asarray(marks, float)
-    _check_event_stream(times, marks)
-    done, tail, mark, _mode = _compensator_parts(times, marks, rate, tau)
-    return done + mark * tail
+    return compensator_report(times, marks, rate, tau).literal_value
 
 
 def compensator_ensemble(
@@ -384,13 +368,7 @@ def compensator_ensemble(
     tau: float,
 ) -> float:
     """Compensator at tau with the open interval priced at the mean mark."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    times = np.asarray(times, float)
-    marks = np.asarray(marks, float)
-    _check_event_stream(times, marks)
-    done, tail, _mark, _mode = _compensator_parts(times, marks, rate, tau)
-    return done + 1.0 * tail
+    return compensator_report(times, marks, rate, tau).ensemble_value
 
 
 def ensemble_mean_compensator(
@@ -443,9 +421,27 @@ def compensator_report(
         raise ValueError("tau must be nonnegative")
     times = np.asarray(times, float)
     marks = np.asarray(marks, float)
-    _check_event_stream(times, marks)
-    done, tail, mark, mode = _compensator_parts(times, marks, rate, tau)
-    n_done = int(np.searchsorted(times, tau, side="right"))
+    if times.shape != marks.shape or times.ndim != 1:
+        raise ValueError("times and marks must be 1-d arrays of equal length")
+    ts, ms = times.tolist(), marks.tolist()
+    prev = 0.0
+    for ti in ts:
+        # written so that NaN fails too
+        if not prev < ti < math.inf:
+            raise ValueError("event times must be positive and strictly increasing")
+        prev = ti
+    if not all(0.0 < m < math.inf for m in ms):
+        raise ValueError("marks must be positive")
+    n_done = bisect_right(ts, tau)
+    done = prev = 0.0
+    for ti, mi in zip(ts[:n_done], ms):
+        done += mi * _integrate_rate(rate, prev, ti)
+        prev = ti
+    if prev < tau:
+        tail = _integrate_rate(rate, prev, tau)
+        mark, mode = (ms[n_done], "next-mark") if n_done < len(ms) else (1.0, "mean-mark")
+    else:
+        tail, mark, mode = 0.0, 1.0, "complete"
     raw = float(np.sum(marks[:n_done]))
     literal = done + mark * tail
     ensemble = done + tail
@@ -502,8 +498,10 @@ def wald_second_moment_check(
     bound = sigma * (2.0 + up_law.variance + down_law.variance)
     acc = 0.0
     for p in range(n_paths):
-        traj = simulate_walk(rf, up_law, down_law, sigma, path_seed(seed, p), z0)
-        dz = traj.final_z - z0
+        z = z0
+        for _t, _j, zb in _event_blocks(rf, up_law, down_law, sigma, path_seed(seed, p), z0):
+            z = float(zb[-1])
+        dz = z - z0
         acc += dz * dz
     emp = acc / n_paths
     return WaldCheck(

@@ -209,7 +209,18 @@ class TestMainErrors:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
-        assert "driftlab" in capsys.readouterr().out
+        assert f"driftlab {driftlab.__version__}" in capsys.readouterr().out
+
+    def test_package_metadata_reads_the_one_version(self):
+        # records carry driftlab.__version__; the build reads the same value
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+            meta = tomllib.load(f)
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        dynamic = meta["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "driftlab.__version__"}
 
 
 class TestMainSimulate:

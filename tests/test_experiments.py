@@ -201,20 +201,23 @@ ENGINE_FIELDS = [Zero(), CriticalLamperti(c=0.5), MeanReverting(kappa=0.3), TABL
 ENGINE_LAWS = [Constant1(), ExponentialMean1(), GammaMean1(k=2.0), UniformMean1(d=0.4)]
 
 
-def first_block_times(seed):
-    """Event times of the first draw block of the path with this seed."""
-    waits = np.random.default_rng(seed).exponential(1.0, 4096)
+def first_block_times(seed, n):
+    """Event times of the n-event first draw block of the path with this
+    seed (n = ``simulator._first_block(horizon)`` in the recipe)."""
+    waits = np.random.default_rng(seed).exponential(1.0, n)
     return np.cumsum(np.concatenate(((0.0,), waits)))[1:]
 
 
 def first_block_counts(exp):
+    n = simulator._first_block(exp.horizon)
     return [
-        int(np.searchsorted(first_block_times(path_seed(exp.seed, i)), exp.horizon, "right"))
+        int(np.searchsorted(first_block_times(path_seed(exp.seed, i), n), exp.horizon, "right"))
         for i in range(exp.n_paths)
     ]
 
 
-EXACT_4096TH = float(first_block_times(path_seed(43, 0))[-1])
+EXACT_4096TH = float(first_block_times(path_seed(43, 0), 4096)[-1])
+EXACT_8TH = float(first_block_times(path_seed(48, 0), 8)[-1])
 
 
 class TestBatchedEngine:
@@ -253,6 +256,20 @@ class TestBatchedEngine:
             assert any(4096 - 128 < k < 4096 for k in counts)
         if horizon == EXACT_4096TH:  # a full block, then a block without events
             assert counts[0] == 4096
+        self.check(exp)
+
+    @pytest.mark.parametrize("horizon", [EXACT_8TH, 30.0, 5000.0], ids=["exact-8th", "30", "5000"])
+    def test_paths_overflowing_the_first_block(self, monkeypatch, horizon):
+        # an 8-event first block: paths go on in blocks of 4096; at the
+        # exact 8th event time path 0 fills its first block and ends in a
+        # second one without events
+        monkeypatch.setattr(simulator, "_first_block", lambda h: 8)
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), GammaMean1(k=2.0), ExponentialMean1(),
+            6, horizon, 2.0, 1.0, seed=48, z0=0.5,
+        )
+        counts = first_block_counts(exp)
+        assert counts[0] == 8 and (horizon == EXACT_8TH or min(counts) == 8)
         self.check(exp)
 
     @pytest.mark.parametrize("chunk", [1, 16])

@@ -267,6 +267,36 @@ class TestJumpLaws:
         with pytest.raises(ValueError):
             sample_jump(Constant1(), np.random.default_rng(0), 0)
 
+    @pytest.mark.parametrize(
+        "law,old",
+        [
+            (GammaMean1(k=0.3), lambda rng, n: rng.gamma(0.3, 1.0 / 0.3, n)),
+            (GammaMean1(k=2.0), lambda rng, n: rng.gamma(2.0, 1.0 / 2.0, n)),
+            # for k = 3, x * (1 / k) and x / k differ on a third of draws
+            (GammaMean1(k=3.0), lambda rng, n: rng.gamma(3.0, 1.0 / 3.0, n)),
+            (ExponentialMean1(), lambda rng, n: rng.exponential(1.0, n)),
+            (UniformMean1(d=0.4), lambda rng, n: rng.uniform(0.6, 1.4, n)),
+        ],
+        ids=["gamma0.3", "gamma2", "gamma3", "exponential", "uniform"],
+    )
+    def test_kernels_match_the_generic_numpy_calls(self, law, old):
+        # blocks, scalar samples and the generator's next draw all match
+        # the calls the draw recipe was written with
+        for n in (1, 7, 4096):
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            assert law.sample_block(a, n).tobytes() == old(b, n).tobytes()
+            assert a.random() == b.random()
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        got = [law.sample(a) for _ in range(2000)]
+        assert all(type(v) is float for v in got)
+        assert got == [float(old(b, 1)[0]) for _ in range(2000)]
+        assert a.random() == b.random()
+
+    def test_constant_sample_draws_nothing(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert Constant1().sample(a) == 1.0
+        assert a.random() == b.random()
+
 
 @given(
     c=st.floats(0.0, 50.0),

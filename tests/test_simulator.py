@@ -14,6 +14,7 @@ from driftlab.fields import (
     UniformMean1,
     Zero,
 )
+from driftlab import simulator
 from driftlab.seeding import path_seed
 from driftlab.simulator import (
     compensator_ensemble,
@@ -99,19 +100,22 @@ class TestSimulateWalk:
         assert frac_up > 0.9
 
 
-def full_block_walk(rf, up_law, down_law, horizon, seed, z0=0.0):
-    """Reference: every block drawn in full (waits, uniforms, up marks,
-    down marks; 4096 each), events split by the scalar loop."""
+def full_block_walk(rf, up_law, down_law, horizon, seed, z0=0.0, first=None):
+    """Reference: every block drawn in full (n waits, n uniforms, n up
+    marks, n down marks), events split by the scalar loop.  The first
+    block holds ``first`` events (recipe v2: ``_first_block(horizon)``;
+    v1: 4096), every later block 4096."""
     times, jumps, zs = [], [], []
     rng = np.random.default_rng(seed)
     phi = rf.drift.scalar_phi()
-    t, z, n = 0.0, z0, 4096
-    while horizon > 0 and n == 4096:
-        dts = rng.exponential(1.0, 4096)
-        us = rng.random(4096)
-        ups = up_law.sample_block(rng, 4096)
-        dns = down_law.sample_block(rng, 4096)
-        n = 0
+    t, z = 0.0, z0
+    n = simulator._first_block(horizon) if first is None else first
+    while horizon > 0:
+        dts = rng.exponential(1.0, n)
+        us = rng.random(n)
+        ups = up_law.sample_block(rng, n)
+        dns = down_law.sample_block(rng, n)
+        k = 0
         for dt, u, up, dn in zip(dts.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
             if t + dt > horizon:
                 break
@@ -121,27 +125,68 @@ def full_block_walk(rf, up_law, down_law, horizon, seed, z0=0.0):
             times.append(t)
             jumps.append(j)
             zs.append(z)
-            n += 1
+            k += 1
+        if k < n:
+            break
+        n = 4096
     return np.array(times), np.array(jumps), np.array(zs)
 
 
+def assert_same_path(traj, want):
+    for got, ref in zip((traj.times, traj.jumps, traj.z_after), want):
+        assert got.tobytes() == ref.tobytes()
+
+
 LAWS = [Constant1(), ExponentialMean1(), GammaMean1(k=2.0), UniformMean1(d=0.4)]
+RECIPE_FIELDS = [ZERO, RateField(CriticalLamperti(c=0.5))]
 LAZY_SEED = 71
 # the 4096th event time: a full first block, then a block without events
 EXACT_4096TH = float(np.cumsum(np.random.default_rng(LAZY_SEED).exponential(1.0, 4096))[-1])
+# the 8th event time, for a first block shrunk to 8 events
+EXACT_8TH = float(np.cumsum(np.random.default_rng(LAZY_SEED).exponential(1.0, 8))[-1])
 
 
-@pytest.mark.parametrize("rf", [ZERO, RateField(CriticalLamperti(c=0.5))], ids=["zero", "lamperti"])
+@pytest.mark.parametrize("rf", RECIPE_FIELDS, ids=["zero", "lamperti"])
 @pytest.mark.parametrize("law", range(len(LAWS)))
 @pytest.mark.parametrize("horizon", [0.0, 0.3, 300.0, EXACT_4096TH, 9000.0])
 def test_lazy_final_block_matches_the_full_block_recipe(rf, law, horizon):
     up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
     traj = simulate_walk(rf, up, down, horizon, seed=LAZY_SEED, z0=0.25)
-    want = full_block_walk(rf, up, down, horizon, LAZY_SEED, z0=0.25)
-    for got, ref in zip((traj.times, traj.jumps, traj.z_after), want):
-        assert got.tobytes() == ref.tobytes()
+    assert_same_path(traj, full_block_walk(rf, up, down, horizon, LAZY_SEED, z0=0.25))
     if horizon == EXACT_4096TH:
         assert traj.n_events == 4096
+
+
+@pytest.mark.parametrize("rf", RECIPE_FIELDS, ids=["zero", "lamperti"])
+@pytest.mark.parametrize("law", range(len(LAWS)))
+@pytest.mark.parametrize("horizon", [3600.0, EXACT_4096TH, 9000.0, 2e4])
+def test_long_horizons_keep_the_v1_recipe(rf, law, horizon):
+    # v1 drew 4096 events in every block; v2 only shrinks the first block
+    # of horizons below 3600
+    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
+    traj = simulate_walk(rf, up, down, horizon, seed=LAZY_SEED, z0=0.25)
+    assert_same_path(traj, full_block_walk(rf, up, down, horizon, LAZY_SEED, 0.25, first=4096))
+
+
+@pytest.mark.parametrize("rf", RECIPE_FIELDS, ids=["zero", "lamperti"])
+@pytest.mark.parametrize("law", range(len(LAWS)))
+@pytest.mark.parametrize("horizon", [EXACT_8TH, 30.0, 5000.0])
+def test_paths_overflowing_the_first_block(monkeypatch, rf, law, horizon):
+    # an 8-event first block: the path goes on in blocks of 4096, and at
+    # the exact 8th event time it ends in a second block without events
+    monkeypatch.setattr(simulator, "_first_block", lambda h: 8)
+    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
+    traj = simulate_walk(rf, up, down, horizon, seed=LAZY_SEED, z0=0.25)
+    assert_same_path(traj, full_block_walk(rf, up, down, horizon, LAZY_SEED, 0.25, first=8))
+    assert traj.n_events == 8 if horizon == EXACT_8TH else traj.n_events > 8
+
+
+@pytest.mark.parametrize(
+    "horizon,n", [(0.0, 16), (1.0, 25), (3599.0, 4095), (3600.0, 4096), (1e9, 4096), (math.inf, 4096)]
+)
+def test_first_block_size(horizon, n):
+    # min(4096, ceil(h + 8 sqrt(h) + 16))
+    assert simulator._first_block(horizon) == n
 
 
 def test_thinning_up_counts_are_poisson_half_rate():
@@ -269,6 +314,24 @@ class TestCompensators:
     def test_malformed_event_streams_rejected(self, times, marks):
         with pytest.raises(ValueError):
             compensator_literal(times, marks, lambda s: 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "times,marks,message",
+        [
+            ([1.0, math.nan], [1.0, 1.0], "strictly increasing"),
+            ([math.nan, 1.0], [1.0, 1.0], "strictly increasing"),
+            ([1.0, math.inf], [1.0, 1.0], "strictly increasing"),
+            ([0.3, 0.8], [1.0, math.nan], "marks must be positive"),
+            ([0.3, 0.8], [math.inf, 1.0], "marks must be positive"),
+        ],
+        ids=["nan-time", "nan-first-time", "inf-time", "nan-mark", "inf-mark"],
+    )
+    def test_non_finite_event_streams_rejected(self, times, marks, message):
+        # NaN compares false both ways, so it must not slip past the
+        # ordering and sign checks
+        for fn in (compensator_report, compensator_literal, compensator_ensemble):
+            with pytest.raises(ValueError, match=message):
+                fn(times, marks, lambda s: 1.0, 1.0)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
