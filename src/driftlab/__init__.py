@@ -61,7 +61,6 @@ from .simulator import (
     compensator_ensemble,
     compensator_literal,
     compensator_report,
-    ensemble_mean_compensator,
     simulate_compound_poisson,
     simulate_walk,
     trajectory_csv,
@@ -103,7 +102,6 @@ __all__ = [
     "compensator_literal",
     "compensator_report",
     "discretize_to_bd",
-    "ensemble_mean_compensator",
     "estimate_occupancy",
     "eval_phi",
     "eval_rates",

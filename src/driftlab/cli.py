@@ -142,6 +142,8 @@ class _Sect:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"{path}: expected a number, got {v!r}")
             v = float(v)
+            if not math.isfinite(v):
+                raise ConfigError(f"{path}: must be finite, got {v!r}")
         elif kind == "str":
             if not isinstance(v, str):
                 raise ConfigError(f"{path}: expected a string, got {v!r}")

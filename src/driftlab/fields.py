@@ -65,6 +65,12 @@ def _as_result(v: np.ndarray) -> ArrayLike:
     return v if v.ndim else float(v)
 
 
+def _like_t(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """v broadcast against t; v itself when the shapes already agree.  A
+    broadcast view is read-only, but ``_clip`` makes the fresh result."""
+    return v if v.shape == t.shape else np.broadcast_arrays(v, t)[0]
+
+
 class DriftField:
     """Base class for drift fields.
 
@@ -126,8 +132,7 @@ class CriticalLamperti(DriftField):
         x = np.asarray(x, float)
         t = np.asarray(t, float)
         ax = _reg_abs(x, self.x_floor)
-        v = np.broadcast_arrays(self.c / (4.0 * ax), t)[0]
-        return _as_result(self._clip(np.array(v)))
+        return _as_result(self._clip(_like_t(self.c / (4.0 * ax), t)))
 
     def scalar_phi(self) -> ScalarPhi:
         c4 = self.c / 4.0
@@ -178,7 +183,7 @@ class PowerLaw(DriftField):
             tf = np.where(t > 0.0, tf, np.inf)
         with np.errstate(over="ignore"):
             v = self.rho * ax**self.alpha * tf
-        return _as_result(self._clip(np.array(v)))
+        return _as_result(self._clip(v))
 
     def scalar_phi(self) -> ScalarPhi:
         rho, alpha, beta = self.rho, self.alpha, self.beta
@@ -229,8 +234,7 @@ class MeanReverting(DriftField):
         t = np.asarray(t, float)
         m = np.minimum(0.5, np.abs(x) / self.x_floor)
         v = -0.5 * self.kappa * np.sign(x) * m
-        v = np.broadcast_arrays(v, t)[0]
-        return _as_result(self._clip(np.array(v)))
+        return _as_result(self._clip(_like_t(v, t)))
 
     def scalar_phi(self) -> ScalarPhi:
         half_k = 0.5 * self.kappa
@@ -273,6 +277,9 @@ class Tabulated(DriftField):
         object.__setattr__(self, "values", np.asarray(self.values, float))
         if self.x_floor <= 0:
             raise ValueError("x_floor must be positive")
+        for name in ("x_grid", "t_grid", "values"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.x_grid.ndim != 1 or self.x_grid.size < 2:
             raise ValueError("x_grid must be 1-d with at least 2 points")
         if self.t_grid.ndim != 1 or self.t_grid.size < 2:
@@ -304,9 +311,9 @@ class Tabulated(DriftField):
     def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
         x = np.asarray(x, float)
         t = np.asarray(t, float)
-        qx, qt = np.broadcast_arrays(_reg_abs(x, self.x_floor), t)
-        qx = np.clip(qx, self.x_grid[0], self.x_grid[-1])
-        qt = np.clip(qt, self.t_grid[0], self.t_grid[-1])
+        # every step is elementwise, so the operands broadcast as they meet
+        qx = np.clip(_reg_abs(x, self.x_floor), self.x_grid[0], self.x_grid[-1])
+        qt = np.clip(t, self.t_grid[0], self.t_grid[-1])
         ix = np.clip(np.searchsorted(self.x_grid, qx, side="right") - 1, 0, self.x_grid.size - 2)
         it = np.clip(np.searchsorted(self.t_grid, qt, side="right") - 1, 0, self.t_grid.size - 2)
         x0, x1 = self.x_grid[ix], self.x_grid[ix + 1]
@@ -319,7 +326,7 @@ class Tabulated(DriftField):
             + self.values[ix, it + 1] * (1 - wx) * wt
             + self.values[ix + 1, it + 1] * wx * wt
         )
-        return _as_result(self._clip(np.array(v)))
+        return _as_result(self._clip(v))
 
     def scalar_phi(self) -> ScalarPhi:
         # Same floor, clamps, cell lookup and left-to-right four-term sum

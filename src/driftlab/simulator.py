@@ -35,13 +35,16 @@ its worker processes each run one contiguous span of paths.  Each path
 keeps its own generator, which at every block start positions four
 cursor generators at the block's waits, uniforms, up marks and down
 marks (through ``bit_generator.state``); the cursors then draw the
-block 128 events at a time into buffers reused across chunks, so the
-engine holds O(paths x 128) draws, never a (paths, 4096) block, and
-paths run in sub-batches of at most 512.  Its paths equal
-``_event_blocks``' bit for bit wherever ``phi`` and ``scalar_phi``
-agree, which they do for every family except ``PowerLaw`` (numpy's
-``power`` and libm's ``pow`` differ by up to 4 ulp), where a direction
-flips only if a uniform lands within those ulp of its threshold.
+block 128 events at a time straight into rows of buffers reused across
+chunks, so the engine holds O(paths x 128) draws, never a (paths, 4096)
+block, and paths run in sub-batches of at most 512.  ``Constant1``
+marks draw no generator words, so a unit-mark side's buffer is filled
+once (+1 up, -1 down) and nothing is drawn for it.  The engine's paths
+equal ``_event_blocks``' bit for bit wherever ``phi`` and
+``scalar_phi`` agree, which they do for every family except
+``PowerLaw`` (numpy's ``power`` and libm's ``pow`` differ by up to 4
+ulp), where a direction flips only if a uniform lands within those ulp
+of its threshold.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import JumpLaw, RateField, Zero
+from .fields import Constant1, JumpLaw, RateField, Zero
 from .seeding import path_seed
 
 __all__ = [
@@ -210,9 +213,11 @@ def _batch_chunks(
 
     Each path keeps its generator, which only positions four cursor
     generators at every block start (waits, direction uniforms, up marks,
-    down marks), and the cursors then draw the block chunk by chunk, so
-    memory grows with ``_BATCH * _CHUNK``, not with the block.  The field
-    is evaluated across paths with the vectorized ``phi``.
+    down marks), and the cursors then draw the block chunk by chunk into
+    the buffers, so memory grows with ``_BATCH * _CHUNK``, not with the
+    block.  A ``Constant1`` side keeps its buffer of unit marks and draws
+    nothing.  The field is evaluated across paths with the vectorized
+    ``phi``.
     """
     if horizon <= 0.0:
         return
@@ -222,6 +227,12 @@ def _batch_chunks(
     pool = [[np.random.Generator(np.random.PCG64(0)) for _ in range(4)] for _ in range(width)]
     # waits (then times), uniforms, up marks, down marks (negated), z_after
     tt, uu, aa, dd, zz = np.zeros((5, width, _CHUNK))
+    # unit marks are never random: their buffers are filled once
+    unit_up, unit_dn = isinstance(up_law, Constant1), isinstance(down_law, Constant1)
+    if unit_up:
+        aa.fill(1.0)
+    if unit_dn:
+        dd.fill(-1.0)
     for lo in range(0, len(seeds), _BATCH):
         rngs = [np.random.default_rng(s) for s in seeds[lo : lo + _BATCH]]
         live = np.arange(len(rngs))
@@ -239,14 +250,21 @@ def _batch_chunks(
                 t, u, a, d, z = (b[:nr, :steps] for b in (tt, uu, aa, dd, zz))
                 for i, (p, c) in enumerate(zip(rows.tolist(), counts.tolist())):
                     cw, cu, ca, cd = pool[p]
-                    t[i, :c] = cw.standard_exponential(c)
-                    u[i, :c] = cu.random(c)
-                    a[i, :c] = up_law.sample_block(ca, c)
-                    d[i, :c] = down_law.sample_block(cd, c)
+                    cw.standard_exponential(out=t[i, :c])
+                    cu.random(out=u[i, :c])
+                    if not unit_up:
+                        a[i, :c] = up_law.sample_block(ca, c)
+                    if not unit_dn:
+                        d[i, :c] = down_law.sample_block(cd, c)
                     if c < steps:
                         # zero waits and jumps keep the ignored lanes finite
-                        t[i, c:] = u[i, c:] = a[i, c:] = d[i, c:] = 0.0
-                np.negative(d, out=d)
+                        t[i, c:] = u[i, c:] = 0.0
+                        if not unit_up:
+                            a[i, c:] = 0.0
+                        if not unit_dn:
+                            d[i, c:] = 0.0
+                if not unit_dn:
+                    np.negative(d, out=d)
                 t[:, 0] += t_carry[rows]
                 np.cumsum(t, axis=1, out=t)
                 if drift is None:
@@ -287,9 +305,10 @@ def _position(
         cu.bit_generator.state = rng.bit_generator.state
         rng.bit_generator.advance(n)  # one 64-bit word per uniform
         ca.bit_generator.state = rng.bit_generator.state
-        up_law.sample_block(rng, n)
+        if not isinstance(up_law, Constant1):  # unit marks draw no words
+            up_law.sample_block(rng, n)
         cd.bit_generator.state = rng.bit_generator.state
-        if k == n:
+        if k == n and not isinstance(down_law, Constant1):
             down_law.sample_block(rng, n)
     return k
 
@@ -369,21 +388,6 @@ def compensator_ensemble(
 ) -> float:
     """Compensator at tau with the open interval priced at the mean mark."""
     return compensator_report(times, marks, rate, tau).ensemble_value
-
-
-def ensemble_mean_compensator(
-    rate: Callable[[float], float], tau: float, tol: float = 1e-9
-) -> float:
-    """integral of rate over [0, tau] to ``tol``; the path-free mean
-    compensator (marks have mean 1)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0:
-        return 0.0
-    from scipy.integrate import quad
-
-    val, _err = quad(rate, 0.0, tau, epsabs=tol, epsrel=tol, limit=200)
-    return float(val)
 
 
 @dataclass(frozen=True)

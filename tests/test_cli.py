@@ -207,6 +207,37 @@ class TestMainErrors:
         assert main([cfg, "--out", str(missing)]) == 3
         assert "cannot write output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("command: classify\nfield: {family: critical_lamperti, c: %s}\n", "field.c"),
+            ("command: simulate\nfield: {family: mean_reverting, kappa: %s}\n"
+             "simulate: {horizon: 5.0}\n", "field.kappa"),
+            ("command: experiment\nexperiment: {n_paths: 4, horizon: %s, level: 3.0}\n",
+             "experiment.horizon"),
+        ],
+        ids=["field.c", "field.kappa", "experiment.horizon"],
+    )
+    def test_non_finite_floats_name_their_key(self, tmp_path, capsys, text, key, value):
+        cfg = write(tmp_path, text % value)
+        assert main([cfg]) == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,table",
+        [
+            ("x_grid", "x_grid: [0.0, .nan], t_grid: [0.0, 1.0], values: [[0.1, 0.1], [0.1, 0.1]]"),
+            ("t_grid", "x_grid: [0.0, 1.0], t_grid: [0.0, .inf], values: [[0.1, 0.1], [0.1, 0.1]]"),
+            ("values", "x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], values: [[0.1, 0.1], [0.1, .nan]]"),
+        ],
+        ids=["x_grid", "t_grid", "values"],
+    )
+    def test_non_finite_table_entries_are_config_errors(self, tmp_path, capsys, key, table):
+        cfg = write(tmp_path, f"command: classify\nfield: {{family: tabulated, {table}}}\n")
+        assert main([cfg]) == 2
+        assert f"field: {key} must be finite" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert f"driftlab {driftlab.__version__}" in capsys.readouterr().out

@@ -199,6 +199,13 @@ TABLE = Tabulated(
 )
 ENGINE_FIELDS = [Zero(), CriticalLamperti(c=0.5), MeanReverting(kappa=0.3), TABLE]
 ENGINE_LAWS = [Constant1(), ExponentialMean1(), GammaMean1(k=2.0), UniformMean1(d=0.4)]
+# (up, down) pairs with unit marks on both sides, only up, only down
+UNIT_PAIRS = [
+    (Constant1(), Constant1()),
+    (Constant1(), GammaMean1(k=2.0)),
+    (ExponentialMean1(), Constant1()),
+]
+UNIT_PAIR_IDS = ["unit-both", "unit-up", "unit-down"]
 
 
 def first_block_times(seed, n):
@@ -282,6 +289,47 @@ class TestBatchedEngine:
             seed=44, z0=-0.5,
         )
         self.check(exp)
+
+    def check_without_unit_mark_draws(self, monkeypatch, exp):
+        # unit marks come from buffers filled once: the engine must not
+        # ask Constant1 for a block (the scalar reference still does)
+        want = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
+
+        def no_draws(law, rng, n):
+            raise AssertionError("Constant1.sample_block called by the engine")
+
+        monkeypatch.setattr(Constant1, "sample_block", no_draws)
+        assert outcome_reprs(quiet_run(exp).paths) == outcome_reprs(want)
+
+    @pytest.mark.parametrize("field", ENGINE_FIELDS, ids=lambda f: type(f).__name__)
+    @pytest.mark.parametrize("horizon", [4070.0, 9000.0], ids=["last-chunk", "multi-block"])
+    def test_unit_marks_across_fields(self, monkeypatch, field, horizon):
+        exp = RecurrenceExperiment(
+            RateField(field), Constant1(), Constant1(), 6, horizon, 6.0, 1.0, seed=49, z0=0.5
+        )
+        counts = first_block_counts(exp)
+        assert 4096 in counts
+        if horizon == 4070.0:
+            assert any(4096 - 128 < k < 4096 for k in counts)
+        self.check_without_unit_mark_draws(monkeypatch, exp)
+
+    @pytest.mark.parametrize("horizon", [4070.0, 9000.0], ids=["last-chunk", "multi-block"])
+    @pytest.mark.parametrize("laws", UNIT_PAIRS[1:], ids=UNIT_PAIR_IDS[1:])
+    def test_one_unit_side(self, monkeypatch, laws, horizon):
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), *laws, 6, horizon, 6.0, 1.0, seed=50, z0=0.5
+        )
+        self.check_without_unit_mark_draws(monkeypatch, exp)
+
+    @pytest.mark.parametrize("chunk", [1, 16])
+    @pytest.mark.parametrize("laws", UNIT_PAIRS, ids=UNIT_PAIR_IDS)
+    def test_unit_marks_in_small_sub_batches(self, monkeypatch, laws, chunk):
+        monkeypatch.setattr(simulator, "_BATCH", 3)
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), *laws, 10, 300.0, 4.0, 1.0, seed=51, z0=-0.5
+        )
+        self.check_without_unit_mark_draws(monkeypatch, exp)
 
     def test_more_paths_than_one_sub_batch_at_full_size(self):
         exp = RecurrenceExperiment(

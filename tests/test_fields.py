@@ -179,6 +179,16 @@ class TestTabulated:
         with pytest.raises(ValueError):
             Tabulated(x_grid=[0.0, 1.0], t_grid=[0.0, 1.0], values=[[0.1, 0.2], [0.1, 0.1]])
 
+    @pytest.mark.parametrize("key", ["x_grid", "t_grid", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, key, bad):
+        # NaN passes every ordering check, so finiteness is its own check
+        table = dict(x_grid=[0.0, 1.0], t_grid=[0.0, 1.0], values=[[0.1, 0.1], [0.1, 0.1]])
+        table[key] = np.array(table[key], float)
+        table[key].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            Tabulated(**table)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             Tabulated(x_grid=[0.0, 1.0], t_grid=[0.0, 1.0, 2.0], values=[[0.1, 0.1], [0.1, 0.1]])
@@ -338,21 +348,26 @@ OFFSET_TABLE = Tabulated(
     values=[[0.6, 0.3, 0.2], [0.2, 0.1, 0.05], [0.05, 0.0, 0.0]],
     x_floor=0.5,
 )
-EDGE_X = sorted(
-    {s * v for s in (1.0, -1.0) for v in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0, 40.0, 100.0, 1e6)}
-)
+# A list, not a set: 0.0 == -0.0, so a set would keep only one zero.
+EDGE_X = [s * v for s in (1.0, -1.0) for v in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0, 40.0, 100.0, 1e6)]
 EDGE_T = [0.0, 2.5, 5.0, 60.0, 900.0, 1000.0, 1800.0, 20000.0, 4e4, 1e9]
 
-SCALAR_PATH_FIELDS = [
+EXACT_SCALAR_FIELDS = [
     Zero(),
+    CriticalLamperti(c=0.0),
     CriticalLamperti(c=0.5),
     CriticalLamperti(c=3.0, x_floor=2.0),
     MeanReverting(kappa=0.3),
     MeanReverting(kappa=5.0, x_floor=0.5),
     DECAYING_TABLE,
     OFFSET_TABLE,
+]
+POWER_LAW = PowerLaw(rho=0.1, alpha=-0.5, beta=0.25)
+PHI_FIELDS = EXACT_SCALAR_FIELDS + [POWER_LAW, PowerLaw(rho=0.3, alpha=0.5, beta=0.0)]
+
+SCALAR_PATH_FIELDS = EXACT_SCALAR_FIELDS + [
     pytest.param(
-        PowerLaw(rho=0.1, alpha=-0.5, beta=0.25),
+        POWER_LAW,
         marks=pytest.mark.xfail(
             strict=True,
             reason="numpy's vectorized power and libm pow differ by up to 4 ulp on "
@@ -372,13 +387,101 @@ SCALAR_PATH_FIELDS = [
     ts=st.lists(st.floats(0.0, 1e9) | st.sampled_from(EDGE_T), min_size=1, max_size=20),
 )
 def test_scalar_phi_matches_phi_bit_for_bit(field, seed, xs, ts):
-    # Each example also checks 500 log-uniform points from its seed, so a
-    # family that differs on a few percent of points fails every example.
-    rng = np.random.default_rng(seed)
-    sign = rng.choice([-1.0, 1.0], 500)
-    x = np.concatenate((np.repeat(xs, len(ts)), sign * 10.0 ** rng.uniform(-2, 4, 500)))
-    t = np.concatenate((np.tile(ts, len(xs)), 10.0 ** rng.uniform(-2, 6, 500)))
+    x, t = query_points(seed, xs, ts)
     f = field.scalar_phi()
     scalar = np.array([f(a, b) for a, b in zip(x.tolist(), t.tolist())])
     vector = np.asarray(field.phi(x, t), float)
     assert np.array_equal(scalar.view(np.int64), vector.view(np.int64))
+
+
+def query_points(seed, xs, ts):
+    """The drawn (x, t) grid, the whole edge grid (so both zeros of x
+    appear in every example) and 500 log-uniform points from the seed,
+    so a family that differs on a few percent of points fails every
+    example."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], 500)
+    x = np.concatenate((
+        np.repeat(xs, len(ts)), np.repeat(EDGE_X, len(EDGE_T)), sign * 10.0 ** rng.uniform(-2, 4, 500)
+    ))
+    t = np.concatenate((np.tile(ts, len(xs)), np.tile(EDGE_T, len(EDGE_X)), 10.0 ** rng.uniform(-2, 6, 500)))
+    return x, t
+
+
+def reference_phi(field, x, t):
+    """``phi`` as first written: every family broadcast its value against
+    t and copied it before the clip."""
+    x = np.asarray(x, float)
+    t = np.asarray(t, float)
+    lo = -PHI_MAX if field.signed else 0.0
+    ax = np.maximum(np.abs(x), field.x_floor)
+    if isinstance(field, Zero):
+        v = np.zeros(np.broadcast(x, t).shape)
+        return v if v.ndim else float(v)
+    if isinstance(field, CriticalLamperti):
+        v = np.broadcast_arrays(field.c / (4.0 * ax), t)[0]
+    elif isinstance(field, PowerLaw):
+        if field.beta == 0.0:
+            tf = np.broadcast_arrays(np.ones(()), t)[0]
+        else:
+            with np.errstate(over="ignore"):
+                tf = np.where(t > 0.0, t, 1.0) ** (-field.beta)
+            tf = np.where(t > 0.0, tf, np.inf)
+        with np.errstate(over="ignore"):
+            v = field.rho * ax**field.alpha * tf
+    elif isinstance(field, MeanReverting):
+        m = np.minimum(0.5, np.abs(x) / field.x_floor)
+        v = np.broadcast_arrays(-0.5 * field.kappa * np.sign(x) * m, t)[0]
+    else:
+        qx, qt = np.broadcast_arrays(ax, t)
+        qx = np.clip(qx, field.x_grid[0], field.x_grid[-1])
+        qt = np.clip(qt, field.t_grid[0], field.t_grid[-1])
+        ix = np.clip(np.searchsorted(field.x_grid, qx, side="right") - 1, 0, field.x_grid.size - 2)
+        it = np.clip(np.searchsorted(field.t_grid, qt, side="right") - 1, 0, field.t_grid.size - 2)
+        x0, x1 = field.x_grid[ix], field.x_grid[ix + 1]
+        t0, t1 = field.t_grid[it], field.t_grid[it + 1]
+        wx = (qx - x0) / (x1 - x0)
+        wt = (qt - t0) / (t1 - t0)
+        v = (
+            field.values[ix, it] * (1 - wx) * (1 - wt)
+            + field.values[ix + 1, it] * wx * (1 - wt)
+            + field.values[ix, it + 1] * (1 - wx) * wt
+            + field.values[ix + 1, it + 1] * wx * wt
+        )
+    v = np.clip(np.array(v), lo, PHI_MAX)
+    return v if v.ndim else float(v)
+
+
+def bits(v):
+    return np.asarray(v, float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("field", PHI_FIELDS, ids=lambda f: type(f).__name__)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    xs=st.lists(st.floats(-1e6, 1e6) | st.sampled_from(EDGE_X), min_size=1, max_size=20),
+    ts=st.lists(st.floats(0.0, 1e9) | st.sampled_from(EDGE_T), min_size=1, max_size=20),
+)
+def test_phi_matches_the_reference_formulation_bit_for_bit(field, seed, xs, ts):
+    x, t = query_points(seed, xs, ts)
+    assert bits(field.phi(x, t)) == bits(reference_phi(field, x, t))
+
+
+@pytest.mark.parametrize("field", PHI_FIELDS, ids=lambda f: type(f).__name__)
+def test_phi_shape_contract(field):
+    xs = np.array(EDGE_X)
+    ts = np.resize(EDGE_T, xs.size)
+    for x, t in [(-0.0, 60.0), (3.0, 0.0), (1.5, 1e9)]:
+        v = field.phi(x, t)
+        assert type(v) is float
+        assert bits(v) == bits(reference_phi(field, x, t))
+    for x, t in [(xs, 60.0), (xs, 0.0), (2.0, ts), (-0.0, ts), (xs, ts)]:
+        v = field.phi(x, t)
+        assert type(v) is np.ndarray and v.shape == (xs.size,) and v.dtype == float
+        assert v.flags.writeable
+        assert not np.shares_memory(v, x) and not np.shares_memory(v, t)
+        assert bits(v) == bits(reference_phi(field, x, t))
+    # rows of x against columns of t
+    v = field.phi(xs[:, None], np.array(EDGE_T)[None, :])
+    assert v.shape == (xs.size, len(EDGE_T))
+    assert bits(v) == bits(reference_phi(field, xs[:, None], np.array(EDGE_T)[None, :]))

@@ -20,7 +20,6 @@ from driftlab.simulator import (
     compensator_ensemble,
     compensator_literal,
     compensator_report,
-    ensemble_mean_compensator,
     simulate_compound_poisson,
     simulate_walk,
     trajectory_csv,
@@ -282,15 +281,6 @@ class TestCompensators:
     def test_ensemble_constant_rates(self):
         assert compensator_ensemble([], [], lambda s: 1.0, 10.0) == pytest.approx(10.0, rel=1e-12)
         assert compensator_ensemble([], [], lambda s: 2.0, 1.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_mean_compensator_log_integral(self):
-        v = ensemble_mean_compensator(lambda s: 1.0 / (1.0 + s), 1.0)
-        assert abs(v - math.log(2.0)) <= 1e-9
-
-    def test_mean_compensator_validates_tau(self):
-        assert ensemble_mean_compensator(lambda s: 1.0, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            ensemble_mean_compensator(lambda s: 1.0, -1.0)
 
     def test_report_residuals_are_raw_minus_value(self):
         times = [0.3, 0.8, 1.2]
