@@ -56,11 +56,12 @@ from .fields import (
 from .seeding import path_seed
 from .simulator import (
     CompensatorReport,
+    MartingaleCheck,
+    ResidualMean,
     Trajectory,
     WaldCheck,
-    compensator_ensemble,
-    compensator_literal,
     compensator_report,
+    martingale_check,
     simulate_compound_poisson,
     simulate_walk,
     trajectory_csv,
@@ -81,12 +82,14 @@ __all__ = [
     "ExponentialMean1",
     "GammaMean1",
     "JumpLaw",
+    "MartingaleCheck",
     "MeanReverting",
     "OccupancyEstimate",
     "PathOutcome",
     "PowerLaw",
     "RateField",
     "RecurrenceExperiment",
+    "ResidualMean",
     "Tabulated",
     "Trajectory",
     "UniformMean1",
@@ -98,14 +101,13 @@ __all__ = [
     "classify_bd_bilateral",
     "classify_mv_critical",
     "classify_theorem1",
-    "compensator_ensemble",
-    "compensator_literal",
     "compensator_report",
     "discretize_to_bd",
     "estimate_occupancy",
     "eval_phi",
     "eval_rates",
     "experiment_csv",
+    "martingale_check",
     "path_seed",
     "ratio_family_chain",
     "ratio_test",

@@ -67,10 +67,8 @@ from .fields import (
     UniformMean1,
     Zero,
 )
-from .seeding import path_seed
 from .simulator import (
-    compensator_report,
-    simulate_compound_poisson,
+    martingale_check,
     simulate_walk,
     trajectory_csv,
     wald_second_moment_check,
@@ -642,39 +640,14 @@ def _cmd_check(rc: RunConfig) -> tuple[int, Optional[str], str]:
 
 def _check_martingale(rc: RunConfig) -> tuple[int, Optional[str], str]:
     p = rc.params
-    r0 = p["rate"]
-    rate = lambda t: r0  # noqa: E731 - constant intensity fixture
-    lit = np.empty(p["n_paths"])
-    ens = np.empty(p["n_paths"])
-    for i in range(p["n_paths"]):
-        times, marks = simulate_compound_poisson(
-            rate, r0, rc.up_law, p["horizon"], path_seed(rc.seed, i)
-        )
-        rep = compensator_report(times, marks, rate, p["tau"])
-        lit[i] = rep.residual_literal
-        ens[i] = rep.residual_ensemble
-
-    def stats(v: np.ndarray) -> tuple[float, float, bool]:
-        mean = float(np.mean(v))
-        se = float(np.std(v, ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
-        return mean, se, abs(mean) <= 3.0 * se if se > 0 else mean == 0.0
-
-    m_lit, se_lit, ok_lit = stats(lit)
-    m_ens, se_ens, ok_ens = stats(ens)
-    result = {
-        "kind": "martingale",
-        "n_paths": p["n_paths"],
-        "tau": p["tau"],
-        "rate": r0,
-        "literal": {"mean_residual": m_lit, "se": se_lit, "within_3se": ok_lit},
-        "ensemble": {"mean_residual": m_ens, "se": se_ens, "within_3se": ok_ens},
-    }
+    chk = martingale_check(p["rate"], rc.up_law, p["tau"], p["horizon"], p["n_paths"], rc.seed)
+    lit, ens = chk.literal, chk.ensemble
     summary = (
-        f"martingale literal={_fmt_num(m_lit)}(se={_fmt_num(se_lit)},ok={ok_lit}) "
-        f"ensemble={_fmt_num(m_ens)}(se={_fmt_num(se_ens)},ok={ok_ens})"
+        f"martingale literal={_fmt_num(lit.mean_residual)}(se={_fmt_num(lit.se)},ok={lit.within_3se}) "
+        f"ensemble={_fmt_num(ens.mean_residual)}(se={_fmt_num(ens.se)},ok={ens.within_3se})"
     )
-    code = 1 if rc.strict and not (ok_lit and ok_ens) else 0
-    return code, _record_json(rc, result), summary
+    code = 1 if rc.strict and not (lit.within_3se and ens.within_3se) else 0
+    return code, _record_json(rc, {"kind": "martingale", **chk.to_record()}), summary
 
 
 def _check_wald(rc: RunConfig) -> tuple[int, Optional[str], str]:

@@ -45,13 +45,27 @@ equal ``_event_blocks``' bit for bit wherever ``phi`` and
 ``PowerLaw`` (numpy's ``power`` and libm's ``pow`` differ by up to 4
 ulp), where a direction flips only if a uniform lands within those ulp
 of its threshold.
+
+The compensators have one fold, ``_compensate``, shared by
+``compensator_report`` (one path) and ``martingale_check`` (many).  The
+check draws its compound-Poisson paths one at a time through the
+thinning loop ``_thin``, each from its own generator, and prices them
+in sub-batches of ``_BATCH`` paths: the sub-batch's inter-event
+intervals and tails to tau sit in flat arrays, one ``_integrals`` pass
+applies the Gauss-Legendre rule to all of them panel by panel, and each
+path's compensator is folded column by column (event j of every path
+that has one), so nothing is padded to a (paths x events) matrix and
+memory grows with the sub-batch, not with ``n_paths``.  Per path the
+arithmetic is a scalar loop's, in the same order, so the values are
+bit-identical to it whenever the intensity's own arithmetic is
+correctly rounded.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -65,9 +79,10 @@ __all__ = [
     "WaldCheck",
     "simulate_walk",
     "simulate_compound_poisson",
-    "compensator_literal",
-    "compensator_ensemble",
     "compensator_report",
+    "MartingaleCheck",
+    "ResidualMean",
+    "martingale_check",
     "wald_second_moment_check",
     "trajectory_csv",
 ]
@@ -76,8 +91,7 @@ _BLOCK = 4096  # events per draw block after a path's first
 _CHUNK = 128  # events per lockstep chunk of _batch_chunks
 _BATCH = 512  # paths per lockstep sub-batch of _batch_chunks
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+_GL = list(zip(*(v.tolist() for v in np.polynomial.legendre.leggauss(16))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +328,7 @@ def _position(
 
 
 def simulate_compound_poisson(
-    rate: Callable[[float], float],
+    rate: Callable,
     rate_bound: float,
     law: JumpLaw,
     horizon: float,
@@ -324,70 +338,134 @@ def simulate_compound_poisson(
 
     ``rate`` is the deterministic intensity, ``rate_bound`` a finite
     upper bound for it on [0, horizon].  Returns event times and marks.
+    ``rate`` is called here with each proposal time as a float, and by
+    ``compensator_report`` with float64 arrays of times, so write it
+    with elementwise numpy arithmetic; a constant may return a scalar.
+    When its arithmetic is correctly rounded (+, -, *, /, sqrt) both
+    forms give the same bits, so the path's compensators equal those of
+    a scalar rule that calls ``rate`` one float at a time.
     """
-    if rate_bound <= 0:
-        raise ValueError("rate_bound must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    rng = np.random.default_rng(seed)
-    wait, uniform, mark = rng.exponential, rng.random, law.sample
+    if not 0.0 < rate_bound < math.inf:  # written so that NaN fails too
+        raise ValueError("rate_bound must be positive and finite")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be nonnegative and finite")
+    times, marks = _thin(np.random.default_rng(seed), rate, rate_bound, law, horizon, horizon)
+    return np.array(times), np.array(marks)
+
+
+def _thin(
+    rng: np.random.Generator,
+    rate: Callable,
+    rate_bound: float,
+    law: JumpLaw,
+    horizon: float,
+    stop: float,
+) -> tuple[list[float], list[float]]:
+    """The thinning loop: accepted event times and marks on (0, horizon],
+    drawn per proposal in the order wait, uniform, mark (a mark only when
+    accepted).  Returns early after the first accepted event past
+    ``stop``, since nothing drawn after it is read."""
+    wait, uniform, mark = rng.standard_exponential, rng.random, law.sample
     scale = 1.0 / rate_bound
     r_max = rate_bound * (1.0 + 1e-12)
     t = 0.0
     times: list[float] = []
     marks: list[float] = []
     while True:
-        t += wait(scale)
+        t += scale * wait()  # numpy's exponential(scale), bit for bit
         if t > horizon:
-            break
+            return times, marks
         r = rate(t)
-        if r < -1e-15 or r > r_max:
+        if not -1e-15 <= r <= r_max:
             raise ValueError(f"rate(t)={r} falls outside [0, rate_bound] at t={t}")
         if uniform() * rate_bound <= r:
             times.append(t)
             marks.append(mark(rng))
-    return np.array(times), np.array(marks)
+            if t > stop:
+                return times, marks
 
 
-def _integrate_rate(rate: Callable[[float], float], a: float, b: float) -> float:
-    # Composite 16-point Gauss-Legendre; panels of length <= 4 keep the
-    # rule at fp accuracy for the smooth intensities this module sees.
-    if b <= a:
-        return 0.0
-    n_panels = max(1, math.ceil((b - a) / 4.0))
-    h = (b - a) / n_panels
-    total = 0.0
-    for k in range(n_panels):
-        lo = a + k * h
-        mid = lo + 0.5 * h
-        half = 0.5 * h
-        s = 0.0
+def _integrals(rate: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of ``rate`` over each [a_i, b_i], 0 where b_i <= a_i.
+
+    Composite 16-point Gauss-Legendre with ceil((b - a) / 4) equal
+    panels; panels of length <= 4 keep the rule at fp accuracy for the
+    smooth intensities this module sees.  Every interval takes panel k
+    in the same pass, and the passes after the first run only on the
+    intervals that have that many panels.  Per interval the arithmetic
+    is the scalar rule's: ``lo = a + k*h``, ``mid = lo + 0.5*h``, nodes
+    ``mid + half*x`` in order, ``s += w * rate(node)`` from 0 and
+    ``total += half * s`` per panel.
+    """
+    span = b - a
+    panels = np.maximum(np.ceil(span / 4.0), 1.0)
+    h = span / panels
+    total = np.zeros(span.size)
+    on = np.flatnonzero(span > 0.0)
+    k = 0
+    while on.size:
+        hk = h[on]
+        half = 0.5 * hk
+        mid = (a[on] + k * hk) + half
+        s = np.zeros(on.size)
         for xn, w in _GL:
             s += w * rate(mid + half * xn)
-        total += half * s
+        total[on] += half * s
+        k += 1
+        on = on[panels[on] > k]
     return total
 
 
-def compensator_literal(
-    times: Sequence[float],
-    marks: Sequence[float],
-    rate: Callable[[float], float],
+def _compensate(
+    rate: Callable,
     tau: float,
-) -> float:
-    """Compensator at tau, pricing the open interval with the mark that
-    actually arrives next (falls back to the mean, 1, when the stream
-    records no event after tau)."""
-    return compensator_report(times, marks, rate, tau).literal_value
+    times: np.ndarray,
+    marks: np.ndarray,
+    counts: np.ndarray,
+    next_marks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw jump sum and literal and ensemble compensators at tau, per path.
 
-
-def compensator_ensemble(
-    times: Sequence[float],
-    marks: Sequence[float],
-    rate: Callable[[float], float],
-    tau: float,
-) -> float:
-    """Compensator at tau with the open interval priced at the mean mark."""
-    return compensator_report(times, marks, rate, tau).ensemble_value
+    Path p's events up to tau are ``counts[p]`` consecutive entries of
+    the flat ``times`` and ``marks``; ``next_marks[p]`` prices its open
+    interval (last event, tau] in the literal reading.  Each path has one
+    interval per event, from the event before it (or 0), and a tail to
+    tau, all integrated in one ``_integrals`` call.  The per-path sums
+    are the scalar loop's: a left fold over the path's events for the
+    compensator, ``np.sum`` of its marks for the raw sum.
+    """
+    n = counts.size
+    first = np.cumsum(counts) - counts  # each path's first event in times
+    tail = first + np.arange(n) + counts  # each path's last interval, to tau
+    b = np.full(times.size + n, tau)
+    to_event = np.ones(b.size, bool)
+    to_event[tail] = False
+    b[to_event] = times
+    a = np.empty_like(b)  # an interval starts where the one before it ends
+    a[1:] = b[:-1]
+    a[tail - counts] = 0.0  # or at 0, for a path's first
+    priced = _integrals(rate, a, b)
+    terms = marks * priced[to_event]
+    # paths in order of count: those with an event j are a suffix
+    order = np.argsort(counts, kind="stable")
+    start = first[order]
+    k_max = int(counts[order[-1]]) if n else 0
+    edges = np.searchsorted(counts[order], np.arange(k_max + 1), side="right").tolist()
+    done, raw = np.zeros(n), np.zeros(n)
+    for j in range(k_max):
+        # event j of every path that has one, column by column
+        lo = edges[j]
+        done[lo:] += terms[start[lo:] + j]
+    for k in range(1, k_max + 1):
+        # the paths with k events as the rows of one matrix: numpy sums
+        # each row as it sums the row on its own
+        lo, hi = edges[k - 1], edges[k]
+        if lo < hi:
+            raw[lo:hi] = np.sum(marks[start[lo:hi, None] + np.arange(k)], axis=1)
+    rank = np.argsort(order)  # each path's place in count order
+    done, raw = done[rank], raw[rank]
+    tails = priced[tail]
+    return raw, done + next_marks * tails, done + tails
 
 
 @dataclass(frozen=True)
@@ -417,12 +495,23 @@ class CompensatorReport:
 def compensator_report(
     times: Sequence[float],
     marks: Sequence[float],
-    rate: Callable[[float], float],
+    rate: Callable,
     tau: float,
 ) -> CompensatorReport:
-    """Evaluate both compensator modes and their residuals in one pass."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    """Evaluate both compensator modes and their residuals in one pass.
+
+    The literal reading prices the open interval after the last event
+    up to tau with the mark that actually arrives next (the mean, 1,
+    when the stream records no event after tau); the ensemble reading
+    prices it at the mean mark.  ``rate`` is called on float64 arrays of
+    times and must act elementwise; a constant may return a scalar.  The
+    values are bit-identical to a scalar rule that calls ``rate`` one
+    float at a time whenever the rate's arithmetic is correctly rounded
+    (+, -, *, /, sqrt); a transcendental such as ``np.exp`` may differ
+    from ``math.exp`` in the last bit.
+    """
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite")
     times = np.asarray(times, float)
     marks = np.asarray(marks, float)
     if times.shape != marks.shape or times.ndim != 1:
@@ -436,19 +525,13 @@ def compensator_report(
         prev = ti
     if not all(0.0 < m < math.inf for m in ms):
         raise ValueError("marks must be positive")
-    n_done = bisect_right(ts, tau)
-    done = prev = 0.0
-    for ti, mi in zip(ts[:n_done], ms):
-        done += mi * _integrate_rate(rate, prev, ti)
-        prev = ti
-    if prev < tau:
-        tail = _integrate_rate(rate, prev, tau)
-        mark, mode = (ms[n_done], "next-mark") if n_done < len(ms) else (1.0, "mean-mark")
-    else:
-        tail, mark, mode = 0.0, 1.0, "complete"
-    raw = float(np.sum(marks[:n_done]))
-    literal = done + mark * tail
-    ensemble = done + tail
+    k = bisect_right(ts, tau)
+    nxt, mode = (ms[k], "next-mark") if k < len(ms) else (1.0, "mean-mark")
+    if (ts[k - 1] if k else 0.0) == tau:
+        mode = "complete"
+    raw, literal, ensemble = (
+        float(v[0]) for v in _compensate(rate, tau, times[:k], marks[:k], np.array([k]), np.array([nxt]))
+    )
     return CompensatorReport(
         tau=tau,
         raw_value=raw,
@@ -457,6 +540,94 @@ def compensator_report(
         residual_literal=raw - literal,
         residual_ensemble=raw - ensemble,
         literal_tail_mode=mode,
+    )
+
+
+@dataclass(frozen=True)
+class ResidualMean:
+    """Mean of per-path residuals, its standard error (ddof 1), and
+    whether the mean lies within 3 of them (exactly 0 when se is 0)."""
+
+    mean_residual: float
+    se: float
+    within_3se: bool
+
+    @classmethod
+    def of(cls, v: np.ndarray) -> "ResidualMean":
+        mean = float(np.mean(v))
+        se = float(np.std(v, ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0
+        return cls(mean, se, abs(mean) <= 3.0 * se if se > 0 else mean == 0.0)
+
+
+@dataclass(frozen=True)
+class MartingaleCheck:
+    """Mean residual, raw jump sum minus compensator at tau, under both
+    tail readings."""
+
+    n_paths: int
+    tau: float
+    rate: float
+    literal: ResidualMean
+    ensemble: ResidualMean
+
+    def to_record(self) -> dict:
+        return asdict(self)
+
+
+def martingale_check(
+    rate: float,
+    law: JumpLaw,
+    tau: float,
+    horizon: float,
+    n_paths: int,
+    seed: int,
+) -> MartingaleCheck:
+    """Check that raw minus compensator at tau has mean 0 over n_paths
+    compound-Poisson paths with constant intensity ``rate`` and marks
+    from ``law``, observed on (0, horizon].
+
+    Path i is ``simulate_compound_poisson(r, rate, law, horizon,
+    path_seed(seed, i))`` with r the constant ``rate`` (drawn only up to
+    its first event past tau), and its residuals are
+    ``compensator_report``'s, bit for bit.  Paths are priced
+    ``_BATCH`` at a time by one ``_compensate`` call.
+    """
+    if not 0.0 < rate < math.inf:  # written so that NaN fails too
+        raise ValueError("rate must be positive and finite")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite")
+    if not tau <= horizon < math.inf:
+        raise ValueError("horizon must be finite and at least tau")
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
+    intensity = lambda t: rate  # noqa: E731 - constant intensity
+    lit = np.empty(n_paths)
+    ens = np.empty(n_paths)
+    for lo in range(0, n_paths, _BATCH):
+        hi = min(lo + _BATCH, n_paths)
+        times: list[float] = []
+        marks: list[float] = []
+        counts: list[int] = []
+        nxt: list[float] = []
+        for i in range(lo, hi):
+            rng = np.random.default_rng(path_seed(seed, i))
+            ts, ms = _thin(rng, intensity, rate, law, horizon, tau)
+            k = bisect_right(ts, tau)
+            times += ts[:k]
+            marks += ms[:k]
+            counts.append(k)
+            nxt.append(ms[k] if k < len(ms) else 1.0)
+        raw, literal, ensemble = _compensate(
+            intensity, tau, np.array(times), np.array(marks), np.array(counts), np.array(nxt)
+        )
+        np.subtract(raw, literal, out=lit[lo:hi])
+        np.subtract(raw, ensemble, out=ens[lo:hi])
+    return MartingaleCheck(
+        n_paths=n_paths,
+        tau=tau,
+        rate=rate,
+        literal=ResidualMean.of(lit),
+        ensemble=ResidualMean.of(ens),
     )
 
 
@@ -495,8 +666,8 @@ def wald_second_moment_check(
     bounded by 1 and marks have mean 1.  ``passed`` allows 5% sampling
     slack on top of the bound.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:  # written so that NaN fails too
+        raise ValueError("sigma must be nonnegative and finite")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     bound = sigma * (2.0 + up_law.variance + down_law.variance)

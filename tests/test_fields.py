@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from driftlab.fields import (
@@ -365,22 +365,7 @@ EXACT_SCALAR_FIELDS = [
 POWER_LAW = PowerLaw(rho=0.1, alpha=-0.5, beta=0.25)
 PHI_FIELDS = EXACT_SCALAR_FIELDS + [POWER_LAW, PowerLaw(rho=0.3, alpha=0.5, beta=0.0)]
 
-SCALAR_PATH_FIELDS = EXACT_SCALAR_FIELDS + [
-    pytest.param(
-        POWER_LAW,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="numpy's vectorized power and libm pow differ by up to 4 ulp on "
-            "7.2% of log-uniform random points (3e5 sampled, x in 1e-2..1e4, "
-            "t in 1e-2..1e6); fixing either side changes seeded outputs",
-        ),
-    ),
-]
-
-
-@pytest.mark.parametrize("field", SCALAR_PATH_FIELDS)
-# No shrinking: the strict xfail would otherwise shrink for a minute.
-@settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@pytest.mark.parametrize("field", EXACT_SCALAR_FIELDS)
 @given(
     seed=st.integers(0, 2**32 - 1),
     xs=st.lists(st.floats(-1e6, 1e6) | st.sampled_from(EDGE_X), min_size=1, max_size=20),
@@ -392,6 +377,21 @@ def test_scalar_phi_matches_phi_bit_for_bit(field, seed, xs, ts):
     scalar = np.array([f(a, b) for a, b in zip(x.tolist(), t.tolist())])
     vector = np.asarray(field.phi(x, t), float)
     assert np.array_equal(scalar.view(np.int64), vector.view(np.int64))
+
+
+def test_power_law_scalar_phi_is_within_4_ulp_of_phi():
+    # numpy's vectorized power and libm's pow differ by up to 4 ulp on
+    # 7.2% of log-uniform random points (3e5 sampled, x in 1e-2..1e4,
+    # t in 1e-2..1e6); fixing either side changes seeded outputs, so the
+    # gap is pinned instead: some points differ, none by more than 4 ulp
+    x, t = query_points(0, [], [])
+    f = POWER_LAW.scalar_phi()
+    scalar = np.array([f(a, b) for a, b in zip(x.tolist(), t.tolist())])
+    vector = np.asarray(POWER_LAW.phi(x, t), float)
+    assert np.array_equal(np.signbit(scalar), np.signbit(vector))
+    ulps = np.abs(scalar.view(np.int64) - vector.view(np.int64))
+    assert np.count_nonzero(ulps) >= 1
+    assert ulps.max() <= 4
 
 
 def query_points(seed, xs, ts):

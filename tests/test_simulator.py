@@ -17,9 +17,8 @@ from driftlab.fields import (
 from driftlab import simulator
 from driftlab.seeding import path_seed
 from driftlab.simulator import (
-    compensator_ensemble,
-    compensator_literal,
     compensator_report,
+    martingale_check,
     simulate_compound_poisson,
     simulate_walk,
     trajectory_csv,
@@ -247,25 +246,26 @@ class TestCompensators:
         # lambda * tau regardless of where the events sit
         times = [0.25, 0.5, 0.9, 1.4]
         marks = [1.0, 1.0, 1.0, 1.0]
-        v = compensator_literal(times, marks, lambda s: 2.0, 1.0)
+        v = compensator_report(times, marks, lambda s: 2.0, 1.0).literal_value
         assert v == pytest.approx(2.0, rel=1e-12)
 
     def test_literal_worked_example(self):
         # 1*(2*0.3 + 0.5*0.5 + 1.5*0.2) with the next mark priced in
         times = [0.3, 0.8, 1.2]
         marks = [2.0, 0.5, 1.5]
-        v = compensator_literal(times, marks, lambda s: 1.0, 1.0)
+        v = compensator_report(times, marks, lambda s: 1.0, 1.0).literal_value
         assert v == pytest.approx(1.15, rel=1e-12)
 
     def test_tau_zero(self):
-        assert compensator_literal([0.5], [1.0], lambda s: 3.0, 0.0) == 0.0
-        assert compensator_ensemble([0.5], [1.0], lambda s: 3.0, 0.0) == 0.0
+        rep = compensator_report([0.5], [1.0], lambda s: 3.0, 0.0)
+        assert rep.literal_value == 0.0
+        assert rep.ensemble_value == 0.0
 
     def test_literal_falls_back_to_mean_mark(self):
         # no recorded event beyond tau: open interval priced at mean 1
         times = [0.3, 0.8]
         marks = [2.0, 0.5]
-        v = compensator_literal(times, marks, lambda s: 1.0, 1.0)
+        v = compensator_report(times, marks, lambda s: 1.0, 1.0).literal_value
         assert v == pytest.approx(2 * 0.3 + 0.5 * 0.5 + 1.0 * 0.2, rel=1e-12)
         rep = compensator_report(times, marks, lambda s: 1.0, 1.0)
         assert rep.literal_tail_mode == "mean-mark"
@@ -274,13 +274,14 @@ class TestCompensators:
         times = [0.2, 0.9, 1.7, 2.2]
         marks = [1.0, 1.0, 1.0, 1.0]
         rate = lambda s: 1.0 / (1.0 + s)
-        lit = compensator_literal(times, marks, rate, 2.0)
-        ens = compensator_ensemble(times, marks, rate, 2.0)
-        assert lit == pytest.approx(ens, rel=1e-12)
+        rep = compensator_report(times, marks, rate, 2.0)
+        assert rep.literal_value == pytest.approx(rep.ensemble_value, rel=1e-12)
 
     def test_ensemble_constant_rates(self):
-        assert compensator_ensemble([], [], lambda s: 1.0, 10.0) == pytest.approx(10.0, rel=1e-12)
-        assert compensator_ensemble([], [], lambda s: 2.0, 1.0) == pytest.approx(2.0, rel=1e-12)
+        ens = compensator_report([], [], lambda s: 1.0, 10.0).ensemble_value
+        assert ens == pytest.approx(10.0, rel=1e-12)
+        ens = compensator_report([], [], lambda s: 2.0, 1.0).ensemble_value
+        assert ens == pytest.approx(2.0, rel=1e-12)
 
     def test_report_residuals_are_raw_minus_value(self):
         times = [0.3, 0.8, 1.2]
@@ -303,7 +304,7 @@ class TestCompensators:
     )
     def test_malformed_event_streams_rejected(self, times, marks):
         with pytest.raises(ValueError):
-            compensator_literal(times, marks, lambda s: 1.0, 1.0)
+            compensator_report(times, marks, lambda s: 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "times,marks,message",
@@ -319,13 +320,12 @@ class TestCompensators:
     def test_non_finite_event_streams_rejected(self, times, marks, message):
         # NaN compares false both ways, so it must not slip past the
         # ordering and sign checks
-        for fn in (compensator_report, compensator_literal, compensator_ensemble):
-            with pytest.raises(ValueError, match=message):
-                fn(times, marks, lambda s: 1.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            compensator_report(times, marks, lambda s: 1.0, 1.0)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            compensator_literal([0.5], [1.0], lambda s: 1.0, -0.1)
+            compensator_report([0.5], [1.0], lambda s: 1.0, -0.1)
 
 
 def test_martingale_residuals_centered_both_modes():
@@ -345,6 +345,234 @@ def test_martingale_residuals_centered_both_modes():
     for res in (lit, ens):
         se = res.std(ddof=1) / math.sqrt(n_paths)
         assert abs(res.mean()) <= 3 * se
+
+
+# The compensator as first written: a scalar loop over paths, events and
+# Gauss-Legendre nodes.  The batched fold must reproduce it bit for bit.
+
+GL = list(zip(*(v.tolist() for v in np.polynomial.legendre.leggauss(16))))
+
+
+def scalar_integral(rate, a, b):
+    if b <= a:
+        return 0.0
+    n_panels = max(1, math.ceil((b - a) / 4.0))
+    h = (b - a) / n_panels
+    total = 0.0
+    for k in range(n_panels):
+        lo = a + k * h
+        mid = lo + 0.5 * h
+        half = 0.5 * h
+        s = 0.0
+        for xn, w in GL:
+            s += w * rate(mid + half * xn)
+        total += half * s
+    return total
+
+
+def scalar_report(times, marks, rate, tau):
+    """(raw, literal, ensemble, mode) by the scalar rule."""
+    marks = np.asarray(marks, float)
+    ts, ms = list(times), marks.tolist()
+    n_done = sum(1 for t in ts if t <= tau)
+    done = prev = 0.0
+    for ti, mi in zip(ts[:n_done], ms):
+        done += mi * scalar_integral(rate, prev, ti)
+        prev = ti
+    if prev < tau:
+        tail = scalar_integral(rate, prev, tau)
+        mark, mode = (ms[n_done], "next-mark") if n_done < len(ms) else (1.0, "mean-mark")
+    else:
+        tail, mark, mode = 0.0, 1.0, "complete"
+    raw = float(np.sum(marks[:n_done]))
+    return raw, done + mark * tail, done + tail, mode
+
+
+def scalar_path(rate, rate_bound, law, horizon, seed):
+    rng = np.random.default_rng(seed)
+    t, times, marks = 0.0, [], []
+    while True:
+        t += rng.exponential(1.0 / rate_bound)
+        if t > horizon:
+            return np.array(times), np.array(marks)
+        if rng.random() * rate_bound <= rate(t):
+            times.append(t)
+            marks.append(law.sample(rng))
+
+
+def scalar_martingale(rate, law, tau, horizon, n_paths, seed):
+    """Per-path literal and ensemble residuals of the scalar loop."""
+    lit, ens = np.empty(n_paths), np.empty(n_paths)
+    for i in range(n_paths):
+        times, marks = scalar_path(lambda t: rate, rate, law, horizon, path_seed(seed, i))
+        raw, literal, ensemble, _ = scalar_report(times, marks, lambda t: rate, tau)
+        lit[i], ens[i] = raw - literal, raw - ensemble
+    return lit, ens
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def residual_record(v):
+    mean = float(np.mean(v))
+    se = float(np.std(v, ddof=1) / math.sqrt(v.size))
+    return {"mean_residual": mean, "se": se, "within_3se": abs(mean) <= 3.0 * se}
+
+
+def run_martingale_check(monkeypatch, *args):
+    """``martingale_check(*args)`` and the per-path residual arrays it
+    summarized (literal, ensemble)."""
+    seen = []
+    of = simulator.ResidualMean.of
+    monkeypatch.setattr(simulator.ResidualMean, "of", lambda v: (seen.append(v.copy()), of(v))[1])
+    return martingale_check(*args), seen
+
+
+def assert_matches_scalar_loop(chk, seen, rate, law, tau, horizon, n_paths, seed):
+    lit, ens = scalar_martingale(rate, law, tau, horizon, n_paths, seed)
+    assert same_bits(seen[0], lit) and same_bits(seen[1], ens)
+    rec = chk.to_record()
+    assert rec == {
+        "n_paths": n_paths,
+        "tau": tau,
+        "rate": rate,
+        "literal": residual_record(lit),
+        "ensemble": residual_record(ens),
+    }
+    for mode in ("literal", "ensemble"):
+        want = residual_record(lit if mode == "literal" else ens)
+        for key in ("mean_residual", "se"):
+            assert same_bits(rec[mode][key], want[key])
+
+
+MARTINGALE_HORIZON = 12.0
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("rate", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("tau", [0.0, 7.5, MARTINGALE_HORIZON])
+def test_martingale_check_matches_the_scalar_loop(monkeypatch, law, rate, tau):
+    # 515 paths: one full sub-batch of 512 and a short one; at rate 0.1
+    # most gaps exceed 4, so intervals span several panels
+    args = (rate, law, tau, MARTINGALE_HORIZON, 515, 2**40 + 9)
+    chk, seen = run_martingale_check(monkeypatch, *args)
+    assert_matches_scalar_loop(chk, seen, *args)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+def test_martingale_check_sub_batches_of_three(monkeypatch, law):
+    monkeypatch.setattr(simulator, "_BATCH", 3)
+    args = (0.1, law, 7.5, MARTINGALE_HORIZON, 100, 5)
+    chk, seen = run_martingale_check(monkeypatch, *args)
+    assert_matches_scalar_loop(chk, seen, *args)
+
+
+VARIABLE_RATES = [
+    (lambda s: 1.0 / (1.0 + s), 1.0),
+    (lambda s: 0.25 * (1.0 + s / 20.0), 0.5),
+]
+
+
+@pytest.mark.parametrize("rate,bound", VARIABLE_RATES, ids=["decaying", "rising"])
+def test_compensator_report_matches_the_scalar_rule(rate, bound):
+    streams = [([0.5, 9.3, 9.4, 21.0, 33.7], [0.7, 1.9, 0.2, 1.1, 1.3])]
+    for seed in range(40):
+        streams.append(simulate_compound_poisson(rate, bound, GammaMean1(k=2.0), 20.0, seed))
+    gaps = np.concatenate([np.diff(np.concatenate(([0.0], t))) for t, _ in streams])
+    assert np.sum(gaps > 4.0) >= 20
+    modes = set()
+    for times, marks in streams:
+        taus = [0.0, 3.0, 9.3, 12.5, 20.0, 40.0] + list(np.asarray(times)[:3])
+        for tau in taus:
+            rep = compensator_report(times, marks, rate, float(tau))
+            raw, literal, ensemble, mode = scalar_report(times, marks, rate, tau)
+            assert same_bits(
+                [rep.raw_value, rep.literal_value, rep.ensemble_value,
+                 rep.residual_literal, rep.residual_ensemble],
+                [raw, literal, ensemble, raw - literal, raw - ensemble],
+            )
+            assert rep.literal_tail_mode == mode
+            modes.add(mode)
+    assert modes == {"complete", "next-mark", "mean-mark"}
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("rate,bound", VARIABLE_RATES + [(lambda s: 0.1, 0.1)],
+                         ids=["decaying", "rising", "constant"])
+def test_compound_poisson_path_matches_the_scalar_loop(law, rate, bound):
+    for seed in range(5):
+        got = simulate_compound_poisson(rate, bound, law, 20.0, seed)
+        want = scalar_path(rate, bound, law, 20.0, seed)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 10.0, 1.0 / 3.0, 1.0 / 7.3, 1e-3])
+def test_scaled_standard_exponential_is_numpys_exponential(scale):
+    a, b = np.random.default_rng(99), np.random.default_rng(99)
+    got = [scale * a.standard_exponential() for _ in range(2000)]
+    want = [b.exponential(scale) for _ in range(2000)]
+    assert same_bits(got, want)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"horizon": NAN},
+        {"horizon": INF},
+        {"rate_bound": NAN},
+        {"rate_bound": INF},
+    ],
+    ids=["nan-horizon", "inf-horizon", "nan-rate-bound", "inf-rate-bound"],
+)
+def test_compound_poisson_rejects_non_finite_inputs(kwargs):
+    args = {"rate_bound": 1.0, "horizon": 5.0, **kwargs}
+    with pytest.raises(ValueError, match="finite"):
+        simulate_compound_poisson(lambda s: 0.5, args["rate_bound"], Constant1(), args["horizon"], 0)
+
+
+def test_compound_poisson_rejects_a_nan_rate():
+    with pytest.raises(ValueError, match="outside"):
+        simulate_compound_poisson(lambda s: NAN, 1.0, Constant1(), 5.0, 0)
+
+
+@pytest.mark.parametrize("tau", [NAN, INF], ids=["nan", "inf"])
+def test_compensator_report_rejects_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        compensator_report([0.5, 1.5], [1.0, 1.0], lambda s: 1.0, tau)
+
+
+@pytest.mark.parametrize("sigma", [NAN, INF], ids=["nan", "inf"])
+def test_wald_check_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        wald_second_moment_check(ZERO, Constant1(), Constant1(), sigma, 100, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"rate": NAN}, "rate"),
+        ({"rate": INF}, "rate"),
+        ({"rate": 0.0}, "rate"),
+        ({"tau": NAN}, "tau"),
+        ({"tau": INF, "horizon": INF}, "tau"),
+        ({"tau": -1.0}, "tau"),
+        ({"horizon": NAN}, "horizon"),
+        ({"horizon": INF}, "horizon"),
+        ({"horizon": 2.0}, "horizon"),
+        ({"n_paths": 99}, "n_paths"),
+    ],
+    ids=["nan-rate", "inf-rate", "zero-rate", "nan-tau", "inf-tau", "negative-tau",
+         "nan-horizon", "inf-horizon", "horizon-below-tau", "too-few-paths"],
+)
+def test_martingale_check_rejects_bad_inputs(kwargs, message):
+    args = {"rate": 1.0, "tau": 4.0, "horizon": 6.0, "n_paths": 100, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        martingale_check(args["rate"], Constant1(), args["tau"], args["horizon"], args["n_paths"], 0)
 
 
 class TestWaldBound:
