@@ -49,9 +49,6 @@ from .fields import (
     Tabulated,
     UniformMean1,
     Zero,
-    eval_phi,
-    eval_rates,
-    sample_jump,
 )
 from .seeding import path_seed
 from .simulator import (
@@ -104,15 +101,12 @@ __all__ = [
     "compensator_report",
     "discretize_to_bd",
     "estimate_occupancy",
-    "eval_phi",
-    "eval_rates",
     "experiment_csv",
     "martingale_check",
     "path_seed",
     "ratio_family_chain",
     "ratio_test",
     "run_recurrence_experiment",
-    "sample_jump",
     "simulate_compound_poisson",
     "simulate_walk",
     "solve_balance_window",

@@ -28,8 +28,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+import dataclasses
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -53,20 +53,8 @@ from .experiments import (
     run_recurrence_experiment,
     solve_balance_window,
 )
-from .fields import (
-    Constant1,
-    CriticalLamperti,
-    DriftField,
-    ExponentialMean1,
-    GammaMean1,
-    JumpLaw,
-    MeanReverting,
-    PowerLaw,
-    RateField,
-    Tabulated,
-    UniformMean1,
-    Zero,
-)
+from . import fields
+from .fields import DriftField, JumpLaw, RateField
 from .simulator import (
     martingale_check,
     simulate_walk,
@@ -75,16 +63,6 @@ from .simulator import (
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
-
-_COMMANDS = ("classify", "simulate", "bd-oracle", "experiment", "check")
-
-_DEFAULT_FORMAT = {
-    "classify": "json",
-    "simulate": "csv",
-    "bd-oracle": "json",
-    "experiment": "csv",
-    "check": "json",
-}
 
 
 class ConfigError(ValueError):
@@ -162,7 +140,7 @@ class _Sect:
             raise ConfigError(f"{self.path or 'config'}: unknown key(s): {keys}")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Fully validated run description with every default resolved."""
 
@@ -180,99 +158,49 @@ class RunConfig:
     effective: dict
 
 
-def _build_field(s: _Sect) -> DriftField:
-    family = s.take(
-        "family",
-        "str",
-        default="zero",
-        choices=("zero", "critical_lamperti", "power_law", "mean_reverting", "tabulated"),
-    )
-    x_floor = s.take("x_floor", "float", default=1.0)
-    try:
-        if family == "zero":
-            out: DriftField = Zero(x_floor=x_floor)
-        elif family == "critical_lamperti":
-            out = CriticalLamperti(c=s.take("c", "float"), x_floor=x_floor)
-        elif family == "power_law":
-            out = PowerLaw(
-                rho=s.take("rho", "float"),
-                alpha=s.take("alpha", "float"),
-                beta=s.take("beta", "float"),
-                x_floor=x_floor,
-            )
-        elif family == "mean_reverting":
-            out = MeanReverting(kappa=s.take("kappa", "float"), x_floor=x_floor)
-        else:
-            out = Tabulated(
-                x_grid=np.asarray(s.take("x_grid", "list"), float),
-                t_grid=np.asarray(s.take("t_grid", "list"), float),
-                values=np.asarray(s.take("values", "list"), float),
-                x_floor=x_floor,
-            )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{s.path or 'field'}: {e}") from e
-    s.done()
-    return out
+# Each family's config keys are its dataclass fields: a field with no
+# default is required, array fields are read as lists, the rest as numbers.
+_FIELD_FAMILIES: dict[str, type] = {
+    "zero": fields.Zero,
+    "critical_lamperti": fields.CriticalLamperti,
+    "power_law": fields.PowerLaw,
+    "mean_reverting": fields.MeanReverting,
+    "tabulated": fields.Tabulated,
+}
+_JUMP_LAWS: dict[str, type] = {
+    "constant1": fields.Constant1,
+    "exponential_mean1": fields.ExponentialMean1,
+    "gamma_mean1": fields.GammaMean1,
+    "uniform_mean1": fields.UniformMean1,
+}
 
 
-def _field_mapping(f: DriftField, t_proxy: float) -> dict:
-    m: dict[str, Any] = {"x_floor": f.x_floor, "t_proxy": t_proxy}
-    if isinstance(f, Zero):
-        m["family"] = "zero"
-    elif isinstance(f, CriticalLamperti):
-        m.update(family="critical_lamperti", c=f.c)
-    elif isinstance(f, PowerLaw):
-        m.update(family="power_law", rho=f.rho, alpha=f.alpha, beta=f.beta)
-    elif isinstance(f, MeanReverting):
-        m.update(family="mean_reverting", kappa=f.kappa)
-    elif isinstance(f, Tabulated):
-        m.update(
-            family="tabulated",
-            x_grid=f.x_grid.tolist(),
-            t_grid=f.t_grid.tolist(),
-            values=f.values.tolist(),
+def _build(s: _Sect, table: dict[str, type], default: str) -> Any:
+    """The ``family`` row of ``table``, built from the section's keys."""
+    cls = table[s.take("family", "str", default=default, choices=tuple(table))]
+    kwargs = {
+        f.name: s.take(
+            f.name,
+            "list" if f.type in ("np.ndarray", np.ndarray) else "float",
+            default=_REQUIRED if f.default is dataclasses.MISSING else f.default,
         )
-    else:  # pragma: no cover - new families must register here
-        raise AssertionError(f"unmapped field type {type(f)!r}")
-    return m
-
-
-def _build_law(s: _Sect) -> JumpLaw:
-    family = s.take(
-        "family",
-        "str",
-        default="constant1",
-        choices=("constant1", "exponential_mean1", "gamma_mean1", "uniform_mean1"),
-    )
+        for f in dataclasses.fields(cls)
+    }
     try:
-        if family == "constant1":
-            out: JumpLaw = Constant1()
-        elif family == "exponential_mean1":
-            out = ExponentialMean1()
-        elif family == "gamma_mean1":
-            out = GammaMean1(k=s.take("k", "float"))
-        else:
-            out = UniformMean1(d=s.take("d", "float"))
-    except ConfigError:
-        raise
+        out = cls(**kwargs)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{s.path}: {e}") from e
     s.done()
     return out
 
 
-def _law_mapping(law: JumpLaw) -> dict:
-    if isinstance(law, Constant1):
-        return {"family": "constant1"}
-    if isinstance(law, ExponentialMean1):
-        return {"family": "exponential_mean1"}
-    if isinstance(law, GammaMean1):
-        return {"family": "gamma_mean1", "k": law.k}
-    if isinstance(law, UniformMean1):
-        return {"family": "uniform_mean1", "d": law.d}
-    raise AssertionError(f"unmapped law type {type(law)!r}")  # pragma: no cover
+def _mapping(obj: Any, table: dict[str, type]) -> dict:
+    """The config section that ``_build`` turns back into ``obj``."""
+    m: dict[str, Any] = {"family": next(k for k, cls in table.items() if type(obj) is cls)}
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        m[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+    return m
 
 
 def _params_classify(s: _Sect) -> dict:
@@ -358,7 +286,7 @@ def _params_experiment(s: _Sect) -> dict:
 
 
 def _params_check(s: _Sect) -> dict:
-    kind = s.take("kind", "str", choices=("martingale", "wald", "balance"))
+    kind = s.take("kind", "str", choices=tuple(_CHECKS))
     if kind == "martingale":
         p = {
             "kind": kind,
@@ -393,18 +321,9 @@ def _params_check(s: _Sect) -> dict:
     return p
 
 
-_PARAM_VALIDATORS: dict[str, Callable[[_Sect], dict]] = {
-    "classify": _params_classify,
-    "simulate": _params_simulate,
-    "bd-oracle": _params_bd_oracle,
-    "experiment": _params_experiment,
-    "check": _params_check,
-}
-
-
 def _validate(raw: Any) -> RunConfig:
     top = _Sect(raw, "")
-    command = top.take("command", "str", choices=_COMMANDS)
+    command = top.take("command", "str", choices=tuple(_COMMANDS))
     seed = top.take("seed", "int", default=None, allow_none=True)
     if seed is None:
         env = os.environ.get("DRIFTLAB_SEED")
@@ -422,23 +341,24 @@ def _validate(raw: Any) -> RunConfig:
     t_proxy = fsect.take("t_proxy", "float", default=1e8)
     if t_proxy <= 0:
         raise ConfigError("field.t_proxy: must be positive")
-    field = _build_field(fsect)
+    field = _build(fsect, _FIELD_FAMILIES, "zero")
 
     jsect = top.sub("jumps")
-    up_law = _build_law(jsect.sub("up"))
-    down_law = _build_law(jsect.sub("down"))
+    up_law = _build(jsect.sub("up"), _JUMP_LAWS, "constant1")
+    down_law = _build(jsect.sub("down"), _JUMP_LAWS, "constant1")
     jsect.done()
 
     osect = top.sub("output")
     out_path = osect.take("path", "str", default=None, allow_none=True)
     fmt = osect.take("format", "str", default=None, choices=("json", "csv"), allow_none=True)
     osect.done()
+    spec = _COMMANDS[command]
     if fmt is None:
-        fmt = _DEFAULT_FORMAT[command]
-    if fmt == "csv" and command in ("classify", "check"):
-        raise ConfigError(f"output.format: csv is not available for '{command}'")
+        fmt = spec.formats[0]
+    if fmt not in spec.formats:
+        raise ConfigError(f"output.format: {fmt} is not available for '{command}'")
 
-    params = _PARAM_VALIDATORS[command](top.sub(command))
+    params = spec.params(top.sub(command))
     for other in _COMMANDS:
         top.data.pop(other, None)  # sections for other commands are ignored
     top.done()
@@ -448,8 +368,8 @@ def _validate(raw: Any) -> RunConfig:
         "seed": seed,
         "strict": strict,
         "workers": workers,
-        "field": _field_mapping(field, t_proxy),
-        "jumps": {"up": _law_mapping(up_law), "down": _law_mapping(down_law)},
+        "field": {**_mapping(field, _FIELD_FAMILIES), "t_proxy": t_proxy},
+        "jumps": {"up": _mapping(up_law, _JUMP_LAWS), "down": _mapping(down_law, _JUMP_LAWS)},
         "output": {"path": out_path, "format": fmt},
         command: dict(params),
     }
@@ -630,12 +550,7 @@ def _cmd_experiment(rc: RunConfig) -> tuple[int, Optional[str], str]:
 
 
 def _cmd_check(rc: RunConfig) -> tuple[int, Optional[str], str]:
-    p = rc.params
-    if p["kind"] == "martingale":
-        return _check_martingale(rc)
-    if p["kind"] == "wald":
-        return _check_wald(rc)
-    return _check_balance(rc)
+    return _CHECKS[rc.params["kind"]](rc)
 
 
 def _check_martingale(rc: RunConfig) -> tuple[int, Optional[str], str]:
@@ -699,13 +614,21 @@ def _check_balance(rc: RunConfig) -> tuple[int, Optional[str], str]:
     return code, _record_json(rc, result), summary
 
 
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "simulate": _cmd_simulate,
-    "bd-oracle": _cmd_bd_oracle,
-    "experiment": _cmd_experiment,
-    "check": _cmd_check,
+class _Command(NamedTuple):
+    params: Callable[[_Sect], dict]
+    run: Callable[[RunConfig], tuple[int, Optional[str], str]]
+    formats: tuple[str, ...]  # the first is the default
+
+
+_COMMANDS = {
+    "classify": _Command(_params_classify, _cmd_classify, ("json",)),
+    "simulate": _Command(_params_simulate, _cmd_simulate, ("csv", "json")),
+    "bd-oracle": _Command(_params_bd_oracle, _cmd_bd_oracle, ("json", "csv")),
+    "experiment": _Command(_params_experiment, _cmd_experiment, ("csv", "json")),
+    "check": _Command(_params_check, _cmd_check, ("json",)),
 }
+
+_CHECKS = {"martingale": _check_martingale, "wald": _check_wald, "balance": _check_balance}
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -725,7 +648,7 @@ def run(rc: RunConfig) -> int:
     """Execute a validated config: write the output file (if requested)
     atomically, print the one-line summary, return the exit code."""
     try:
-        code, payload, summary = _DISPATCH[rc.command](rc)
+        code, payload, summary = _COMMANDS[rc.command].run(rc)
     except ConfigError:
         raise
     except ValueError as e:

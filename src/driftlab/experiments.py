@@ -91,8 +91,8 @@ class RecurrenceExperiment:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not 0.0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be nonnegative and finite")
         if not self.level > self.band > 0:
             raise ValueError("need level > band > 0")
         if self.workers < 0:
@@ -281,8 +281,8 @@ def estimate_occupancy(
     n_min, n_max = int(window[0]), int(window[1])
     if n_min > n_max:
         raise ValueError("window must satisfy n_min <= n_max")
-    if total_time < 0:
-        raise ValueError("total_time must be nonnegative")
+    if not 0.0 <= total_time < math.inf:
+        raise ValueError("total_time must be nonnegative and finite")
     if not rf.drift.signed:
         raise ValueError("occupancy estimation needs a signed mean-reverting drift")
 

@@ -43,9 +43,6 @@ __all__ = [
     "ExponentialMean1",
     "GammaMean1",
     "UniformMean1",
-    "eval_phi",
-    "eval_rates",
-    "sample_jump",
 ]
 
 PHI_MAX = 0.5
@@ -473,23 +470,3 @@ class UniformMean1(JumpLaw):
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(1.0 - self.d, 1.0 + self.d, n)
 
-
-def eval_phi(field: DriftField, x: ArrayLike, t: ArrayLike) -> ArrayLike:
-    """Drift field value(s) at (x, t); t must be nonnegative."""
-    if np.any(np.asarray(t, float) < 0):
-        raise ValueError("t must be nonnegative")
-    return field.phi(x, t)
-
-
-def eval_rates(rf: RateField, x: ArrayLike, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-    """Up/down jump rates at (x, t).  Their sum is identically 1."""
-    if np.any(np.asarray(t, float) < 0):
-        raise ValueError("t must be nonnegative")
-    return rf.rates(x, t)
-
-
-def sample_jump(law: JumpLaw, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """Draw n jump sizes from the law using the supplied generator."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return law.sample_block(rng, n)

@@ -123,8 +123,8 @@ def simulate_walk(
     z0: float = 0.0,
 ) -> Trajectory:
     """Simulate one path on (0, horizon] starting from z0 at time 0."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be nonnegative and finite")
     blocks = list(_event_blocks(rf, up_law, down_law, horizon, seed, z0))
     if blocks:
         times, jumps, z_after = (np.concatenate(part) for part in zip(*blocks))
@@ -481,15 +481,7 @@ class CompensatorReport:
     literal_tail_mode: str
 
     def to_record(self) -> dict:
-        return {
-            "tau": self.tau,
-            "raw_value": self.raw_value,
-            "literal_value": self.literal_value,
-            "ensemble_value": self.ensemble_value,
-            "residual_literal": self.residual_literal,
-            "residual_ensemble": self.residual_ensemble,
-            "literal_tail_mode": self.literal_tail_mode,
-        }
+        return asdict(self)
 
 
 def compensator_report(
@@ -642,13 +634,7 @@ class WaldCheck:
     passed: bool
 
     def to_record(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "n_paths": self.n_paths,
-            "empirical_second_moment": self.empirical_second_moment,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def wald_second_moment_check(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -5,7 +6,21 @@ import pytest
 import yaml
 
 import driftlab
+from driftlab import cli
 from driftlab.cli import ConfigError, main, parse_config
+from driftlab.fields import (
+    Constant1,
+    CriticalLamperti,
+    DriftField,
+    ExponentialMean1,
+    GammaMean1,
+    JumpLaw,
+    MeanReverting,
+    PowerLaw,
+    Tabulated,
+    UniformMean1,
+    Zero,
+)
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -20,6 +35,27 @@ field:
   family: critical_lamperti
   c: 3.0
 """
+
+TABLE = dict(x_grid=[0.0, 10.0], t_grid=[0.0, 50.0], values=[[0.3, 0.2], [0.1, 0.0]])
+
+# (config section, the object it builds) for every family and law
+FIELD_SECTIONS = [
+    ({"family": "zero"}, Zero()),
+    ({"family": "zero", "x_floor": 2.5}, Zero(x_floor=2.5)),
+    ({"family": "critical_lamperti", "c": 3.0}, CriticalLamperti(c=3.0)),
+    (
+        {"family": "power_law", "rho": 0.5, "alpha": 0.5, "beta": 0.75, "x_floor": 0.5},
+        PowerLaw(rho=0.5, alpha=0.5, beta=0.75, x_floor=0.5),
+    ),
+    ({"family": "mean_reverting", "kappa": 0.2}, MeanReverting(kappa=0.2)),
+    ({"family": "tabulated", **TABLE, "x_floor": 3.0}, Tabulated(**TABLE, x_floor=3.0)),
+]
+LAW_SECTIONS = [
+    ({"family": "constant1"}, Constant1()),
+    ({"family": "exponential_mean1"}, ExponentialMean1()),
+    ({"family": "gamma_mean1", "k": 2.5}, GammaMean1(k=2.5)),
+    ({"family": "uniform_mean1", "d": 0.4}, UniformMean1(d=0.4)),
+]
 
 SIMULATE_SMALL = """\
 command: simulate
@@ -47,9 +83,21 @@ class TestParseConfig:
         assert eff["jumps"] == {"up": {"family": "constant1"}, "down": {"family": "constant1"}}
 
     def test_effective_config_round_trips(self):
-        rc = parse_config(CLASSIFY_CL3)
-        again = parse_config(yaml.safe_dump(rc.effective))
-        assert again.effective == rc.effective
+        for (field_sect, field), (law_sect, law) in itertools.product(FIELD_SECTIONS, LAW_SECTIONS):
+            raw = {"command": "classify", "field": field_sect, "jumps": {"up": law_sect, "down": law_sect}}
+            rc = parse_config(yaml.safe_dump(raw))
+            assert (rc.field, rc.up_law, rc.down_law) == (field, law, law), raw
+            again = parse_config(yaml.safe_dump(rc.effective))
+            assert again.effective == rc.effective, raw
+            assert (again.field, again.up_law, again.down_law) == (rc.field, rc.up_law, rc.down_law), raw
+
+    def test_family_tables_list_every_exported_class(self):
+        exported = {getattr(driftlab, name) for name in driftlab.__all__}
+        classes = {c for c in exported if isinstance(c, type)}
+        fields = {c for c in classes if issubclass(c, DriftField) and c is not DriftField}
+        laws = {c for c in classes if issubclass(c, JumpLaw) and c is not JumpLaw}
+        assert set(cli._FIELD_FAMILIES.values()) == fields
+        assert set(cli._JUMP_LAWS.values()) == laws
 
     def test_unknown_keys_are_named_with_their_path(self):
         with pytest.raises(ConfigError, match=r"config: unknown key\(s\): bogus"):
@@ -237,6 +285,23 @@ class TestMainErrors:
         cfg = write(tmp_path, f"command: classify\nfield: {{family: tabulated, {table}}}\n")
         assert main([cfg]) == 2
         assert f"field: {key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("field: {family: power_law, alpha: 0.5, beta: 0.75}\n", "field.rho: required key missing"),
+            ("jumps: {up: {family: gamma_mean1}}\n", "jumps.up.k: required key missing"),
+            ("jumps: {down: {family: uniform_mean1, d: wide}}\n", "jumps.down.d: expected a number"),
+            ("jumps: {down: {family: exponential_mean1, k: 2.0}}\n", "jumps.down: unknown key(s): k"),
+            ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
+             "values: [[0.1, 0.1], [0.1]]}\n", "field: "),
+        ],
+        ids=["field.rho", "jumps.up.k", "jumps.down.d", "jumps.down", "ragged"],
+    )
+    def test_family_parameter_errors_name_their_path(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, "command: classify\n" + text)
+        assert main([cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -94,6 +94,11 @@ class TestRecurrenceExperiment:
         with pytest.raises(ValueError):
             RecurrenceExperiment(**{**ok, "workers": -1})
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+            RecurrenceExperiment(ZERO, Constant1(), Constant1(), 10, horizon, 3.0, 1.0, seed=0)
+
     def test_zero_horizon_single_path(self):
         exp = RecurrenceExperiment(
             ZERO, Constant1(), Constant1(), 1, 0.0, 50.0, 1.0, seed=4
@@ -398,6 +403,11 @@ class TestOccupancy:
             estimate_occupancy(MR, Constant1(), Constant1(), 10.0, (5, -5), seed=1)
         with pytest.raises(ValueError):
             estimate_occupancy(MR, Constant1(), Constant1(), -1.0, (-5, 5), seed=1)
+
+    @pytest.mark.parametrize("total_time", [math.inf, math.nan])
+    def test_rejects_non_finite_total_time(self, total_time):
+        with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
+            estimate_occupancy(MR, Constant1(), Constant1(), total_time, (-5, 5), seed=1)
 
     def test_cell_accessor(self):
         occ = OccupancyEstimate(-2, 2, np.array([0.1, 0.2, 0.3, 0.2, 0.1]), 10.0)

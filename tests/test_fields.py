@@ -17,9 +17,6 @@ from driftlab.fields import (
     Tabulated,
     UniformMean1,
     Zero,
-    eval_phi,
-    eval_rates,
-    sample_jump,
 )
 
 IN_SCOPE_FIELDS = [
@@ -38,59 +35,55 @@ IN_SCOPE_FIELDS = [
 
 class TestEvalPhi:
     def test_zero_field(self):
-        assert eval_phi(Zero(), 5.0, 3.0) == 0.0
+        assert Zero().phi(5.0, 3.0) == 0.0
 
     def test_critical_lamperti_value(self):
         # c/(4x) with x above the floor; no t dependence at all
-        assert eval_phi(CriticalLamperti(c=1.0), 10.0, 7.0) == 0.025
-        assert eval_phi(CriticalLamperti(c=1.0), 10.0, 1e9) == 0.025
+        assert CriticalLamperti(c=1.0).phi(10.0, 7.0) == 0.025
+        assert CriticalLamperti(c=1.0).phi(10.0, 1e9) == 0.025
 
     def test_power_law_value(self):
         f = PowerLaw(rho=0.5, alpha=0.5, beta=0.75)
-        assert eval_phi(f, 4.0, 16.0) == pytest.approx(0.125, rel=1e-12)
+        assert f.phi(4.0, 16.0) == pytest.approx(0.125, rel=1e-12)
 
     def test_negative_x_uses_magnitude(self):
         f = CriticalLamperti(c=1.0)
-        assert eval_phi(f, -10.0, 0.0) == eval_phi(f, 10.0, 0.0)
+        assert f.phi(-10.0, 0.0) == f.phi(10.0, 0.0)
 
     def test_x_floor_regularizes_origin(self):
         f = CriticalLamperti(c=1.0, x_floor=2.0)
-        assert eval_phi(f, 0.0, 0.0) == eval_phi(f, 2.0, 0.0)
-        assert eval_phi(f, 1.0, 0.0) == eval_phi(f, 2.0, 0.0)
+        assert f.phi(0.0, 0.0) == f.phi(2.0, 0.0)
+        assert f.phi(1.0, 0.0) == f.phi(2.0, 0.0)
 
     def test_clip_ceiling(self):
         # c/(4x) = 2 at x=1, far above the admissible band
-        assert eval_phi(CriticalLamperti(c=8.0), 1.0, 0.0) == PHI_MAX
+        assert CriticalLamperti(c=8.0).phi(1.0, 0.0) == PHI_MAX
 
     def test_power_law_at_t_zero_hits_ceiling(self):
         f = PowerLaw(rho=0.1, alpha=0.0, beta=0.5)
-        assert eval_phi(f, 3.0, 0.0) == PHI_MAX
+        assert f.phi(3.0, 0.0) == PHI_MAX
 
     def test_vectorized_matches_scalar(self):
         f = PowerLaw(rho=0.4, alpha=0.25, beta=0.6)
         xs = np.array([-7.0, 0.3, 2.0, 50.0])
         ts = np.array([0.0, 1.0, 9.0, 1e6])
-        vec = eval_phi(f, xs, ts)
+        vec = f.phi(xs, ts)
         scalar = f.scalar_phi()
         for i in range(4):
             assert vec[i] == pytest.approx(scalar(xs[i], ts[i]), rel=1e-14, abs=0.0)
 
-    def test_rejects_negative_t(self):
-        with pytest.raises(ValueError):
-            eval_phi(Zero(), 1.0, -0.5)
-
 
 class TestEvalRates:
     def test_symmetric_case(self):
-        assert eval_rates(RateField(Zero()), 0.0, 0.0) == (0.5, 0.5)
+        assert RateField(Zero()).rates(0.0, 0.0) == (0.5, 0.5)
 
     def test_clipped_boundary(self):
-        lam, mu = eval_rates(RateField(CriticalLamperti(c=2.0)), 1.0, 0.0)
+        lam, mu = RateField(CriticalLamperti(c=2.0)).rates(1.0, 0.0)
         assert lam == 1.0
         assert mu == 0.0
 
     def test_plain_value(self):
-        lam, mu = eval_rates(RateField(CriticalLamperti(c=1.0)), 10.0, 5.0)
+        lam, mu = RateField(CriticalLamperti(c=1.0)).rates(10.0, 5.0)
         assert lam == pytest.approx(0.525, rel=1e-15)
         assert mu == pytest.approx(0.475, rel=1e-15)
         assert lam + mu == 1.0
@@ -99,7 +92,7 @@ class TestEvalRates:
     def test_sum_is_one_exactly_on_grid(self, field):
         rf = RateField(field)
         xs, ts = np.meshgrid(np.linspace(-100, 100, 100), np.linspace(0, 1e4, 100))
-        lam, mu = eval_rates(rf, xs, ts)
+        lam, mu = rf.rates(xs, ts)
         assert np.all(lam + mu == 1.0)
         assert np.all((lam >= 0) & (lam <= 1))
         assert np.all((mu >= 0) & (mu <= 1))
@@ -110,10 +103,6 @@ class TestEvalRates:
         assert lam == pytest.approx(0.5 + 0.5 / 20.0)
         assert mu == pytest.approx(0.5 - 0.5 / 20.0)
 
-    def test_rejects_negative_t(self):
-        with pytest.raises(ValueError):
-            eval_rates(RateField(Zero()), 0.0, -1.0)
-
     def test_t_proxy_must_be_positive(self):
         with pytest.raises(ValueError):
             RateField(Zero(), t_proxy=0.0)
@@ -123,7 +112,7 @@ class TestEvalRates:
 def test_in_scope_fields_are_bounded_and_t_decreasing(field):
     xs = np.linspace(-100.0, 100.0, 100)
     ts = np.linspace(0.0, 1e4, 100)
-    vals = np.asarray(eval_phi(field, xs[:, None], ts[None, :]))
+    vals = np.asarray(field.phi(xs[:, None], ts[None, :]))
     assert vals.shape == (100, 100)
     assert np.all(vals >= 0.0)
     assert np.all(vals <= 0.5)
@@ -135,11 +124,11 @@ def test_mean_reverting_is_signed_and_odd():
     f = MeanReverting(kappa=0.2)
     assert f.signed
     xs = np.array([0.25, 1.0, 3.0, 40.0])
-    plus = np.asarray(eval_phi(f, xs, 0.0))
-    minus = np.asarray(eval_phi(f, -xs, 0.0))
+    plus = np.asarray(f.phi(xs, 0.0))
+    minus = np.asarray(f.phi(-xs, 0.0))
     assert np.all(plus < 0)  # pull down on the positive side
     assert np.allclose(plus, -minus, rtol=0, atol=0)
-    assert eval_phi(f, 0.0, 0.0) == 0.0
+    assert f.phi(0.0, 0.0) == 0.0
     assert np.max(np.abs(plus)) <= 0.05 + 1e-15  # kappa/4 cap
 
 
@@ -155,12 +144,12 @@ class TestTabulated:
         f = self.make()
         # midpoint of the (x in [2,4], t in [0,10]) patch by hand
         want = (0.3 + 0.1 + 0.2 + 0.0) / 4.0
-        assert eval_phi(f, 3.0, 5.0) == pytest.approx(want, rel=1e-14)
+        assert f.phi(3.0, 5.0) == pytest.approx(want, rel=1e-14)
 
     def test_clamps_beyond_grid(self):
         f = self.make()
-        assert eval_phi(f, 100.0, 50.0) == pytest.approx(0.0, abs=1e-15)
-        assert eval_phi(f, 4.0, 1e6) == eval_phi(f, 4.0, 10.0)
+        assert f.phi(100.0, 50.0) == pytest.approx(0.0, abs=1e-15)
+        assert f.phi(4.0, 1e6) == f.phi(4.0, 10.0)
 
     def test_equality_compares_content(self):
         assert self.make() == self.make()
@@ -229,18 +218,18 @@ class TestConstructionGuards:
 class TestJumpLaws:
     def test_constant_law_is_degenerate(self):
         rng = np.random.default_rng(0)
-        assert sample_jump(Constant1(), rng)[0] == 1.0
-        assert np.all(sample_jump(Constant1(), rng, 100) == 1.0)
+        assert Constant1().sample_block(rng, 1)[0] == 1.0
+        assert np.all(Constant1().sample_block(rng, 100) == 1.0)
 
     def test_uniform_support(self):
         rng = np.random.default_rng(1)
-        draws = sample_jump(UniformMean1(d=0.5), rng, 1000)
+        draws = UniformMean1(d=0.5).sample_block(rng, 1000)
         assert np.all(draws > 0.5)
         assert np.all(draws < 1.5)
 
     def test_gamma_moments_frozen_run(self):
         rng = np.random.default_rng(20240817)
-        draws = sample_jump(GammaMean1(k=4.0), rng, 10**5)
+        draws = GammaMean1(k=4.0).sample_block(rng, 10**5)
         assert abs(draws.mean() - 1.0) <= 0.02
         assert abs(draws.var(ddof=1) - 0.25) <= 0.02
 
@@ -266,16 +255,12 @@ class TestJumpLaws:
     def test_moments_within_three_se(self, law, var_m2):
         n = 10**5
         rng = np.random.default_rng(99)
-        draws = sample_jump(law, rng, n)
+        draws = law.sample_block(rng, n)
         se_mean = math.sqrt(law.variance / n)
         se_var = math.sqrt(var_m2 / n)
         assert np.all(draws > 0)
         assert abs(draws.mean() - 1.0) <= 3 * se_mean + 1e-12
         assert abs(draws.var(ddof=1) - law.variance) <= 3 * se_var + 1e-12
-
-    def test_sample_jump_validates_count(self):
-        with pytest.raises(ValueError):
-            sample_jump(Constant1(), np.random.default_rng(0), 0)
 
     @pytest.mark.parametrize(
         "law,old",
@@ -314,7 +299,7 @@ class TestJumpLaws:
     t=st.floats(0.0, 1e12),
 )
 def test_lamperti_phi_always_admissible(c, x, t):
-    v = eval_phi(CriticalLamperti(c=c), x, t)
+    v = CriticalLamperti(c=c).phi(x, t)
     assert 0.0 <= v <= 0.5
 
 
@@ -327,7 +312,7 @@ def test_lamperti_phi_always_admissible(c, x, t):
 )
 def test_power_law_rates_always_valid(rho, alpha, beta, x, t):
     rf = RateField(PowerLaw(rho=rho, alpha=alpha, beta=beta))
-    lam, mu = eval_rates(rf, x, t)
+    lam, mu = rf.rates(x, t)
     assert lam + mu == 1.0
     assert 0.0 <= mu <= 0.5 <= lam <= 1.0
 

@@ -47,6 +47,12 @@ class TestSimulateWalk:
         with pytest.raises(ValueError):
             simulate_walk(ZERO, Constant1(), Constant1(), -1.0, seed=0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, horizon):
+        # inf used to loop forever; NaN failed in the block sizing unnamed
+        with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+            simulate_walk(ZERO, Constant1(), Constant1(), horizon, seed=0)
+
     @pytest.mark.parametrize("rf,up,down,horizon,z0", ENGINE_CASES)
     def test_deterministic_given_seed(self, rf, up, down, horizon, z0):
         a = simulate_walk(rf, up, down, horizon, seed=42, z0=z0)
