@@ -123,9 +123,13 @@ class _Sect:
         elif kind == "str":
             if not isinstance(v, str):
                 raise ConfigError(f"{path}: expected a string, got {v!r}")
-        elif kind == "list":
+        elif kind == "array":
             if not isinstance(v, list):
                 raise ConfigError(f"{path}: expected a list")
+            try:
+                v = np.asarray(v, float)
+            except (ValueError, TypeError) as e:  # ragged or non-numeric
+                raise ConfigError(f"{path}: {e}") from e
         else:  # pragma: no cover - internal misuse
             raise AssertionError(f"unknown kind {kind}")
         if choices is not None and v not in choices:
@@ -159,7 +163,8 @@ class RunConfig:
 
 
 # Each family's config keys are its dataclass fields: a field with no
-# default is required, array fields are read as lists, the rest as numbers.
+# default is required, array fields are read as float arrays, the rest as
+# numbers.
 _FIELD_FAMILIES: dict[str, type] = {
     "zero": fields.Zero,
     "critical_lamperti": fields.CriticalLamperti,
@@ -181,7 +186,7 @@ def _build(s: _Sect, table: dict[str, type], default: str) -> Any:
     kwargs = {
         f.name: s.take(
             f.name,
-            "list" if f.type in ("np.ndarray", np.ndarray) else "float",
+            "array" if f.type in ("np.ndarray", np.ndarray) else "float",
             default=_REQUIRED if f.default is dataclasses.MISSING else f.default,
         )
         for f in dataclasses.fields(cls)
@@ -325,6 +330,7 @@ def _validate(raw: Any) -> RunConfig:
     top = _Sect(raw, "")
     command = top.take("command", "str", choices=tuple(_COMMANDS))
     seed = top.take("seed", "int", default=None, allow_none=True)
+    source = ""
     if seed is None:
         env = os.environ.get("DRIFTLAB_SEED")
         if env is None:
@@ -334,6 +340,9 @@ def _validate(raw: Any) -> RunConfig:
                 seed = int(env)
             except ValueError:
                 raise ConfigError(f"DRIFTLAB_SEED must be an integer, got {env!r}") from None
+            source = " (from DRIFTLAB_SEED)"
+    if not 0 <= seed < 2**64:  # numpy takes no wider seed; path_seed would wrap it
+        raise ConfigError(f"seed: must lie in [0, 2**64), got {seed}{source}")
     strict = top.take("strict", "bool", default=False)
     workers = top.take("workers", "int", default=0, lo=0)
 

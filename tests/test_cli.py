@@ -36,6 +36,20 @@ field:
   c: 3.0
 """
 
+# every command (and check kind), sized to run in well under a second
+SEEDED_CONFIGS = {
+    "classify": "command: classify\n",
+    "simulate": "command: simulate\nsimulate: {horizon: 20.0}\n",
+    "bd-oracle": "command: bd-oracle\nfield: {family: critical_lamperti, c: 3.0}\n"
+                 "bd-oracle: {n_max: 200}\n",
+    "experiment": "command: experiment\nworkers: 1\n"
+                  "experiment: {n_paths: 20, horizon: 100.0, level: 4.0}\n",
+    "check-wald": "command: check\ncheck: {kind: wald, n_paths: 100}\n",
+    "check-martingale": "command: check\ncheck: {kind: martingale, n_paths: 100}\n",
+    "check-balance": "command: check\nfield: {family: mean_reverting, kappa: 0.2}\n"
+                     "check: {kind: balance, total_time: 1000.0}\n",
+}
+
 TABLE = dict(x_grid=[0.0, 10.0], t_grid=[0.0, 50.0], values=[[0.3, 0.2], [0.1, 0.0]])
 
 # (config section, the object it builds) for every family and law
@@ -294,14 +308,50 @@ class TestMainErrors:
             ("jumps: {down: {family: uniform_mean1, d: wide}}\n", "jumps.down.d: expected a number"),
             ("jumps: {down: {family: exponential_mean1, k: 2.0}}\n", "jumps.down: unknown key(s): k"),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
-             "values: [[0.1, 0.1], [0.1]]}\n", "field: "),
+             "values: [[0.1, 0.1], [0.1]]}\n", "field.values: "),
+            ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
+             "values: [[0.1, 0.1], [0.1, high]]}\n", "field.values: could not convert"),
+            ("field: {family: tabulated, x_grid: [0.0, one], t_grid: [0.0, 1.0], "
+             "values: [[0.1, 0.1], [0.1, 0.1]]}\n", "field.x_grid: could not convert"),
+            ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [[0.0], [1.0, 2.0]], "
+             "values: [[0.1, 0.1], [0.1, 0.1]]}\n", "field.t_grid: "),
         ],
-        ids=["field.rho", "jumps.up.k", "jumps.down.d", "jumps.down", "ragged"],
+        ids=["field.rho", "jumps.up.k", "jumps.down.d", "jumps.down", "ragged",
+             "non-numeric", "non-numeric-x_grid", "ragged-t_grid"],
     )
     def test_family_parameter_errors_name_their_path(self, tmp_path, capsys, text, message):
         cfg = write(tmp_path, "command: classify\n" + text)
         assert main([cfg]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-64"])
+    @pytest.mark.parametrize("command", sorted(SEEDED_CONFIGS))
+    def test_seed_outside_64_bits_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, command, seed, source
+    ):
+        # experiment, wald and martingale used to mask it to 64 bits;
+        # simulate and balance failed with numpy's text under the command
+        text, argv = SEEDED_CONFIGS[command], []
+        monkeypatch.delenv("DRIFTLAB_SEED", raising=False)
+        if source == "config":
+            text += f"seed: {seed}\n"
+        elif source == "flag":
+            argv = ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv("DRIFTLAB_SEED", str(seed))
+        assert main([write(tmp_path, text), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("driftlab: config error: seed: must lie in [0, 2**64)")
+        assert (source == "env") == ("DRIFTLAB_SEED" in err)
+
+    @pytest.mark.parametrize("command", sorted(SEEDED_CONFIGS))
+    def test_the_64_bit_seed_edges_run(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, SEEDED_CONFIGS[command])
+        for seed in (0, 2**64 - 1):
+            out = tmp_path / f"{seed}.json"
+            assert main([cfg, "--seed", str(seed), "--format", "json", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["seed"] == seed
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -15,6 +15,7 @@ from driftlab.fields import (
     Zero,
 )
 from driftlab import simulator
+from driftlab.experiments import RecurrenceExperiment, run_recurrence_experiment
 from driftlab.seeding import path_seed
 from driftlab.simulator import (
     compensator_report,
@@ -473,6 +474,55 @@ def test_martingale_check_sub_batches_of_three(monkeypatch, law):
     args = (0.1, law, 7.5, MARTINGALE_HORIZON, 100, 5)
     chk, seen = run_martingale_check(monkeypatch, *args)
     assert_matches_scalar_loop(chk, seen, *args)
+
+
+EDGE_MASTERS = [0, 2**64 - 1]
+SEEDING_CASES = [
+    (ZERO, GammaMean1(k=2.0), GammaMean1(k=2.0), 1.0, 0.0),
+    (RateField(CriticalLamperti(c=0.5)), ExponentialMean1(), Constant1(), 3.0, 0.5),
+    (RateField(MeanReverting(kappa=0.2)), UniformMean1(d=0.3), ExponentialMean1(), 2.0, -1.0),
+]
+
+
+def test_martingale_check_positions_each_path_at_default_rngs_start(monkeypatch):
+    # the check sets one generator to each path's derived PCG64 state; the
+    # scalar loop builds default_rng(path_seed(seed, i)) per path
+    for seed in EDGE_MASTERS:
+        args = (0.5, GammaMean1(k=2.0), 7.5, MARTINGALE_HORIZON, 515, seed)
+        chk, seen = run_martingale_check(monkeypatch, *args)
+        assert_matches_scalar_loop(chk, seen, *args)
+
+
+@pytest.mark.parametrize("case", range(len(SEEDING_CASES)))
+@pytest.mark.parametrize("batch", [3, 512])
+def test_wald_check_matches_per_path_default_rng(monkeypatch, case, batch):
+    monkeypatch.setattr(simulator, "_BATCH", batch)
+    rf, up, down, sigma, z0 = SEEDING_CASES[case]
+    for seed in EDGE_MASTERS:
+        chk = wald_second_moment_check(rf, up, down, sigma, 515, seed, z0)
+        acc = 0.0
+        for p in range(515):
+            dz = simulate_walk(rf, up, down, sigma, path_seed(seed, p), z0).final_z - z0
+            acc += dz * dz
+        assert same_bits(chk.empirical_second_moment, acc / 515)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_matches_per_path_default_rng(workers):
+    rf, up, down, _sigma, z0 = SEEDING_CASES[1]
+    for seed in EDGE_MASTERS:
+        exp = RecurrenceExperiment(rf, up, down, 515, 50.0, 3.0, 1.0, seed, z0, workers)
+        got = run_recurrence_experiment(exp).paths
+        for i, o in enumerate(got):
+            traj = simulate_walk(rf, up, down, 50.0, path_seed(seed, i), z0)
+            assert o.seed == path_seed(seed, i)
+            assert same_bits(o.final_z, traj.final_z)
+            absz = np.abs(traj.z_after)
+            hit = np.flatnonzero(absz >= 3.0)
+            assert o.reached_level == bool(hit.size)
+            if hit.size:
+                assert same_bits(o.first_hit_time, traj.times[hit[0]])
+                assert o.returned == bool(np.any(absz[hit[0] + 1 :] <= 1.0))
 
 
 VARIABLE_RATES = [
