@@ -58,6 +58,8 @@ _INCREMENT_FLOOR = 0.1
 _BLOWUP_TERM = 1e8
 _BLOWUP_SUM = 1e15
 
+_CELL_ROWS = 4096  # sites per block of discretize_to_bd's quadrature grid
+
 
 class Verdict(str, enum.Enum):
     RECURRENT = "Recurrent"
@@ -258,9 +260,17 @@ def discretize_to_bd(
     offsets = (np.arange(quadrature_points) + 0.5) / quadrature_points
 
     def cell_rates(ns: np.ndarray) -> RatePair:
-        xs = (np.asarray(ns, float)[:, None] - 1.0) + offsets[None, :]
-        lam_x, mu_x = rf.limit_rates(xs)
-        return np.asarray(lam_x).mean(axis=1), np.asarray(mu_x).mean(axis=1)
+        # the (sites x quadrature) grid is evaluated _CELL_ROWS sites at a
+        # time; each row's mean is the same reduction whatever the block
+        ns = np.asarray(ns, float)
+        lam, mu = np.empty(ns.size), np.empty(ns.size)
+        for lo in range(0, ns.size, _CELL_ROWS):
+            hi = lo + _CELL_ROWS
+            xs = (ns[lo:hi, None] - 1.0) + offsets[None, :]
+            lam_x, mu_x = rf.limit_rates(xs)
+            np.asarray(lam_x).mean(axis=1, out=lam[lo:hi])
+            np.asarray(mu_x).mean(axis=1, out=mu[lo:hi])
+        return lam, mu
 
     ns = np.arange(n_min, n_max + 1)
     lam, mu = cell_rates(ns)

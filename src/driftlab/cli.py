@@ -420,6 +420,8 @@ def _sanitize(v: Any) -> Any:
     if isinstance(v, enum.Enum):
         return v.value
     if isinstance(v, np.ndarray):
+        if v.dtype.kind == "f" and np.isfinite(v).all():
+            return v.tolist()  # no NaN or inf to map: one tolist() writes the same JSON
         return [_sanitize(x) for x in v.tolist()]
     if isinstance(v, np.integer):
         return int(v)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifier import BDChain
 from .fields import JumpLaw, RateField
-from .seeding import path_seed
+from .seeding import check_seed, path_seed
 from .simulator import _batch_chunks, _event_blocks
 
 __all__ = [
@@ -97,6 +97,7 @@ class RecurrenceExperiment:
             raise ValueError("need level > band > 0")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative (0 = auto)")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,6 +286,7 @@ def estimate_occupancy(
         raise ValueError("total_time must be nonnegative and finite")
     if not rf.drift.signed:
         raise ValueError("occupancy estimation needs a signed mean-reverting drift")
+    check_seed(seed)
 
     size = n_max - n_min + 1
     if total_time == 0:

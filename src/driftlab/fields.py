@@ -62,6 +62,12 @@ def _as_result(v: np.ndarray) -> ArrayLike:
     return v if v.ndim else float(v)
 
 
+def _bound(m: float) -> float:
+    """A bound on |phi| with the slack for the family's own rounding,
+    capped at the clip ceiling that every family's phi respects."""
+    return min(PHI_MAX, m * (1.0 + 1e-9))
+
+
 def _like_t(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     """v broadcast against t; v itself when the shapes already agree.  A
     broadcast view is read-only, but ``_clip`` makes the fresh result."""
@@ -85,6 +91,20 @@ class DriftField:
     def scalar_phi(self) -> ScalarPhi:
         raise NotImplementedError
 
+    def phi_bound(self, t: float) -> float:
+        """A float M with |phi(x, s)| <= M for every x and every s >= t,
+        for ``phi`` and ``scalar_phi`` as computed, not only as written.
+
+        Families bound their formula and add a relative slack of 1e-9
+        for their own rounding (a few ulp); every bound is at most
+        ``PHI_MAX``, which the clip guarantees.  The event loop uses it
+        to settle a direction without calling phi: a uniform u is an
+        up-step if u < 0.5 - M and a down-step if u >= 0.5 + M, because
+        rounding is monotone, so |p| <= M gives fl(0.5 - M) <=
+        fl(0.5 + p) <= fl(0.5 + M).
+        """
+        return PHI_MAX
+
     def _clip(self, v: np.ndarray) -> np.ndarray:
         lo = -PHI_MAX if self.signed else 0.0
         return np.clip(v, lo, PHI_MAX)
@@ -106,6 +126,9 @@ class Zero(DriftField):
 
     def scalar_phi(self) -> ScalarPhi:
         return lambda x, t: 0.0
+
+    def phi_bound(self, t: float) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -144,6 +167,9 @@ class CriticalLamperti(DriftField):
             return hi if v > hi else v
 
         return f
+
+    def phi_bound(self, t: float) -> float:
+        return _bound(self.c / (4.0 * self.x_floor))  # the value at |x| <= x_floor
 
 
 @dataclass(frozen=True)
@@ -191,17 +217,31 @@ class PowerLaw(DriftField):
             ax = x if x >= 0.0 else -x
             if ax < fl:
                 ax = fl
-            if beta != 0.0:
-                if t <= 0.0:
-                    return hi
-                v = rho * ax**alpha * t**-beta
-            else:
-                v = rho * ax**alpha
+            try:
+                if beta != 0.0:
+                    if t <= 0.0:
+                        return hi
+                    v = rho * ax**alpha * t**-beta
+                else:
+                    v = rho * ax**alpha
+            except OverflowError:  # float pow raises where numpy's gives inf
+                return hi
             if v > hi:
                 return hi
             return v
 
         return f
+
+    def phi_bound(self, t: float) -> float:
+        # alpha > 0 grows without bound in |x|; beta > 0 diverges at t = 0
+        if self.alpha > 0.0 or (self.beta > 0.0 and t <= 0.0):
+            return PHI_MAX
+        try:
+            # the largest |x| factor is at x_floor, the largest t factor at t
+            m = self.rho * self.x_floor**self.alpha * t**-self.beta
+        except OverflowError:
+            return PHI_MAX
+        return _bound(m)
 
 
 @dataclass(frozen=True)
@@ -251,6 +291,9 @@ class MeanReverting(DriftField):
             return -v if x > 0.0 else v
 
         return f
+
+    def phi_bound(self, t: float) -> float:
+        return _bound(0.25 * self.kappa)  # (kappa/2) * 1/2 once |x| >= x_floor/2
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,6 +404,10 @@ class Tabulated(DriftField):
             return 0.0 if v < 0.0 else (hi if v > hi else v)
 
         return f
+
+    def phi_bound(self, t: float) -> float:
+        # bilinear weights lie in [0, 1], so phi is a convex combination
+        return _bound(float(self.values.max()))
 
 
 @dataclass(frozen=True)

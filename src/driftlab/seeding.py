@@ -35,6 +35,14 @@ _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless seed lies in [0, 2**64), the range
+    numpy's ``default_rng`` takes and ``path_seed`` mixes without
+    wrapping (so -1 would otherwise run as 2**64 - 1)."""
+    if not 0 <= seed <= _MASK:  # written so that NaN fails too
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a 64-bit bijective scramble."""
     z &= _MASK

@@ -28,13 +28,21 @@ marks) and its k down marks.  The values used are the full recipe's.
 
 Two engines read the recipe.  ``_event_blocks`` runs one path with the
 scalar ``scalar_phi`` closure; single-path commands, occupancy and the
-second-moment check use it.  ``_batch_chunks`` runs an ensemble in
-lockstep, one event of every live path per step, with the vectorized
-``phi`` evaluated across paths; the band-return experiment uses it, and
-its worker processes each run one contiguous span of paths.  Each path
-keeps its own generator, which at every block start positions four
-cursor generators at the block's waits, uniforms, up marks and down
-marks (through ``bit_generator.state``); the cursors then draw the
+second-moment check use it.  It calls the closure only where the field
+can change a direction: with m = ``drift.phi_bound(t)`` at the block's
+start time t, a uniform u < 0.5 - m is an up-step and u >= 0.5 + m a
+down-step whatever phi is, because |phi| <= m from t on and rounding is
+monotone (fl(0.5 - m) <= fl(0.5 + phi) <= fl(0.5 + m)); only the
+uniforms in between are compared with 0.5 + phi(z, t), so the path is
+the phi-on-every-event loop's bit for bit.
+
+``_batch_chunks`` runs an ensemble in lockstep, one event of every live
+path per step, with the vectorized ``phi`` evaluated across paths; the
+band-return experiment uses it, and its worker processes each run one
+contiguous span of paths.  Each path keeps its own generator, which at
+every block start positions four cursor generators at the block's
+waits, uniforms, up marks and down marks (through
+``bit_generator.state``); the cursors then draw the
 block 128 events at a time straight into rows of buffers reused across
 chunks, so the engine holds O(paths x 128) draws, never a (paths, 4096)
 block, and paths run in sub-batches of at most 512.  ``Constant1``
@@ -81,7 +89,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .fields import Constant1, JumpLaw, RateField, Zero
-from .seeding import path_seed, pcg64_states
+from .seeding import check_seed, path_seed, pcg64_states
 
 __all__ = [
     "Trajectory",
@@ -135,6 +143,7 @@ def simulate_walk(
     """Simulate one path on (0, horizon] starting from z0 at time 0."""
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be nonnegative and finite")
+    check_seed(seed)
     blocks = list(_event_blocks(rf, up_law, down_law, horizon, np.random.default_rng(seed), z0))
     if blocks:
         times, jumps, z_after = (np.concatenate(part) for part in zip(*blocks))
@@ -180,7 +189,8 @@ def _event_blocks(
     the module docstring's recipe."""
     if horizon <= 0.0:
         return
-    phi = None if isinstance(rf.drift, Zero) else rf.drift.scalar_phi()
+    drift = rf.drift
+    phi = None if isinstance(drift, Zero) else drift.scalar_phi()
     t = 0.0
     z = z0
     n = _first_block(horizon)
@@ -201,11 +211,20 @@ def _event_blocks(
             sj = np.where(us < 0.5, ups, -dns)
             zb = np.cumsum(np.concatenate(((z,), sj)))[1:]
         else:
+            # |phi| <= m from the block's start on, so a uniform outside
+            # [0.5 - m, 0.5 + m) settles the direction without phi
+            m = drift.phi_bound(t)
+            lo, hi = 0.5 - m, 0.5 + m
             jumps: list[float] = []
             zs: list[float] = []
             j_app, z_app = jumps.append, zs.append
             for tn, u, up, dn in zip(tb.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
-                j = up if u < 0.5 + phi(z, tn) else -dn
+                if u < lo:
+                    j = up
+                elif u >= hi:
+                    j = -dn
+                else:
+                    j = up if u < 0.5 + phi(z, tn) else -dn
                 z += j
                 j_app(j)
                 z_app(z)
@@ -377,6 +396,7 @@ def simulate_compound_poisson(
         raise ValueError("rate_bound must be positive and finite")
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be nonnegative and finite")
+    check_seed(seed)
     times, marks = _thin(np.random.default_rng(seed), rate, rate_bound, law, horizon, horizon)
     return np.array(times), np.array(marks)
 
@@ -620,6 +640,7 @@ def martingale_check(
         raise ValueError("horizon must be finite and at least tau")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
+    check_seed(seed)
     intensity = lambda t: rate  # noqa: E731 - constant intensity
     lit = np.empty(n_paths)
     ens = np.empty(n_paths)
@@ -684,6 +705,7 @@ def wald_second_moment_check(
         raise ValueError("sigma must be nonnegative and finite")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
+    check_seed(seed)
     bound = sigma * (2.0 + up_law.variance + down_law.variance)
     acc = 0.0
     for rng in _path_rngs(seed, n_paths):
@@ -707,11 +729,11 @@ def trajectory_csv(traj: Trajectory) -> str:
 
     Columns: tau (event time), signed_jump, z_after.  Values are written
     with repr so a round-trip through the text recovers the exact floats.
+    Rows are rendered ``_BLOCK`` at a time, so besides the text only one
+    block's floats and row strings are alive at once.
     """
-    lines = ["tau,signed_jump,z_after"]
-    times = traj.times.tolist()
-    jumps = traj.jumps.tolist()
-    zs = traj.z_after.tolist()
-    for i in range(len(times)):
-        lines.append(f"{times[i]!r},{jumps[i]!r},{zs[i]!r}")
-    return "\n".join(lines) + "\n"
+    blocks = ["tau,signed_jump,z_after\n"]
+    for lo in range(0, traj.n_events, _BLOCK):
+        ts, js, zs = (c[lo : lo + _BLOCK].tolist() for c in (traj.times, traj.jumps, traj.z_after))
+        blocks.append("".join([f"{t!r},{j!r},{z!r}\n" for t, j, z in zip(ts, js, zs)]))
+    return "".join(blocks)

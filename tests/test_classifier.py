@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from driftlab.classifier import (
     ratio_family_chain,
     ratio_test,
 )
-from driftlab.fields import CriticalLamperti, MeanReverting, PowerLaw, RateField, Zero
+from driftlab.fields import CriticalLamperti, MeanReverting, PowerLaw, RateField, Tabulated, Zero
 
 
 def cl_rates(c, x_floor=1.0):
@@ -189,6 +190,54 @@ class TestDiscretize:
             discretize_to_bd(cl_rates(1.0), 5, 5)
         with pytest.raises(ValueError):
             discretize_to_bd(cl_rates(1.0), 2, 10, quadrature_points=0)
+
+
+def one_shot_cell_rates(rf, ns, quadrature_points):
+    """Reference: the whole (sites x quadrature) grid in one evaluation."""
+    offsets = (np.arange(quadrature_points) + 0.5) / quadrature_points
+    xs = (np.asarray(ns, float)[:, None] - 1.0) + offsets[None, :]
+    lam_x, mu_x = rf.limit_rates(xs)
+    return np.asarray(lam_x).mean(axis=1), np.asarray(mu_x).mean(axis=1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+CELL_FIELDS = [
+    CriticalLamperti(c=2.0),
+    PowerLaw(rho=0.1, alpha=-0.5, beta=0.25),
+    Tabulated(x_grid=[0.0, 5.0, 100.0], t_grid=[0.0, 1e9], values=[[0.3, 0.2], [0.1, 0.05], [0.02, 0.01]]),
+]
+
+
+@pytest.mark.parametrize("field", CELL_FIELDS, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("sites", [1, 4095, 4096, 4097, 2**17])
+@pytest.mark.parametrize("q", [1, 3, 8])
+def test_row_blocked_cell_rates_match_the_one_shot_grid(field, sites, q):
+    rf = RateField(field)
+    n_max = 2 + max(sites, 2) - 1  # a window holds at least two sites
+    ch = discretize_to_bd(rf, 2, n_max, quadrature_points=q)
+    lam, mu = one_shot_cell_rates(rf, ch.sites, q)
+    assert same_bits(ch.lam, lam) and same_bits(ch.mu, mu)
+    ns = np.arange(n_max + 1, n_max + 1 + sites)
+    lam, mu = one_shot_cell_rates(rf, ns, q)
+    got_lam, got_mu = ch.extend(ns)
+    assert same_bits(got_lam, lam) and same_bits(got_mu, mu)
+
+
+def test_series_tail_memory_is_bounded():
+    # the tail's 2**17-site blocks evaluate their quadrature grid 4096
+    # rows at a time; a whole block's 2**17 x 8 grid would peak near 50 MB
+    ch = discretize_to_bd(cl_rates(2.0), 2, 10000)
+    tracemalloc.start()
+    try:
+        res = bd_series_criterion(ch, 2, tail_extension=990000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verdict is Verdict.TRANSIENT
+    assert peak <= 24e6
 
 
 class TestRatioFamily:

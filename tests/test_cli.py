@@ -1,7 +1,10 @@
+import enum
 import itertools
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -579,3 +582,46 @@ class TestMainCheck:
             parse_config(
                 "command: check\ncheck: {kind: balance, window_min: 0, window_max: 1}\n"
             )
+
+
+def per_element_sanitize(v):
+    """Reference: every array element through the scalar rules."""
+    if isinstance(v, dict):
+        return {str(k): per_element_sanitize(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [per_element_sanitize(x) for x in v]
+    if isinstance(v, enum.Enum):
+        return v.value
+    if isinstance(v, np.ndarray):
+        return [per_element_sanitize(x) for x in v.tolist()]
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        v = float(v)
+    if isinstance(v, float):
+        if math.isnan(v):
+            return None
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+    return v
+
+
+def test_record_json_arrays_match_the_per_element_path(monkeypatch):
+    # finite float arrays are written through one tolist(); the rest
+    # element by element
+    edge = [-0.0, 5e-324, 1e16, 0.1, -2.5]
+    result = {
+        "finite": np.array(edge),
+        "non_finite": np.array(edge + [np.nan, np.inf, -np.inf]),
+        "ints": np.array([3, -7, 2**62]),
+        "two_d": np.array([[1.5, -0.0], [5e-324, 1e16]]),
+        "two_d_non_finite": np.array([[np.nan, 1.0], [np.inf, -np.inf]]),
+        "float32": np.array([0.1, -0.0], dtype=np.float32),
+        "empty": np.array([]),
+        "nested": [{"z": np.array(edge)}, (np.float64(-0.0), np.int64(4))],
+    }
+    rc = parse_config("command: classify\n")
+    got = cli._record_json(rc, result)
+    monkeypatch.setattr(cli, "_sanitize", per_element_sanitize)
+    assert got == cli._record_json(rc, result)
+    assert '"inf"' in got and "null" in got and "5e-324" in got and "-0.0" in got

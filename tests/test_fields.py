@@ -9,6 +9,7 @@ from driftlab.fields import (
     PHI_MAX,
     Constant1,
     CriticalLamperti,
+    DriftField,
     ExponentialMean1,
     GammaMean1,
     MeanReverting,
@@ -470,3 +471,72 @@ def test_phi_shape_contract(field):
     v = field.phi(xs[:, None], np.array(EDGE_T)[None, :])
     assert v.shape == (xs.size, len(EDGE_T))
     assert bits(v) == bits(reference_phi(field, xs[:, None], np.array(EDGE_T)[None, :]))
+
+
+# Fields for the event loop's band: every family, with the bound's edge
+# cases (alpha > 0, beta = 0, a small x_floor, clipped kappa and c, and a
+# table above 1/2).
+BOUND_FIELDS = [
+    Zero(),
+    CriticalLamperti(c=0.5),
+    CriticalLamperti(c=3.0),
+    CriticalLamperti(c=0.3, x_floor=0.25),
+    PowerLaw(rho=0.1, alpha=-0.5, beta=0.25),
+    PowerLaw(rho=2.0, alpha=-2.0, beta=1.5, x_floor=0.5),
+    PowerLaw(rho=0.3, alpha=-1.0, beta=0.0),
+    PowerLaw(rho=0.5, alpha=0.5, beta=0.75),
+    PowerLaw(rho=0.3, alpha=0.5, beta=0.0),
+    MeanReverting(kappa=0.2),
+    MeanReverting(kappa=1.0, x_floor=3.0),
+    MeanReverting(kappa=3.0),
+    DECAYING_TABLE,
+    OFFSET_TABLE,
+    Tabulated(x_grid=[0.0, 3.0], t_grid=[0.0, 50.0], values=[[0.7, 0.6], [0.2, 0.1]]),
+]
+BOUND_T = [0.0, 1e-300, 1e-3, 0.5, 1.0, 7.5, 60.0, 1e3, 2e4, 1e8]
+
+
+def bound_x(x_floor):
+    """x at and around the floor on both sides, 0 with both signs, and far out."""
+    fl = x_floor
+    return [0.0, -0.0, fl, -fl, 0.3 * fl, -0.7 * fl, 0.999 * fl, 1.001 * fl, 2.5, -17.0,
+            1e3, -1e6, 1e12, -1e12]
+
+
+@pytest.mark.parametrize("field", BOUND_FIELDS, ids=lambda f: type(f).__name__)
+def test_phi_bound_holds_for_every_x_and_later_time(field):
+    xs = np.array(bound_x(field.x_floor))
+    sphi = field.scalar_phi()
+    for t in BOUND_T:
+        m = field.phi_bound(t)
+        assert 0.0 <= m <= PHI_MAX
+        ss = np.array([t, np.nextafter(t, np.inf), t * (1 + 1e-12), 2.0 * t + 1e-9, t + 1.0, 1e3 * t + 5.0, 1e12])
+        v = field.phi(xs[:, None], ss[None, :])
+        assert np.all(np.abs(v) <= m)
+        assert all(abs(sphi(x, s)) <= m for x in xs.tolist() for s in ss.tolist())
+
+
+def test_phi_bound_values():
+    assert Zero().phi_bound(0.0) == 0.0
+    assert CriticalLamperti(c=0.5).phi_bound(0.0) == pytest.approx(0.125, rel=1e-8)
+    assert CriticalLamperti(c=0.3, x_floor=0.25).phi_bound(5.0) == pytest.approx(0.3, rel=1e-8)
+    assert MeanReverting(kappa=0.2).phi_bound(3.0) == pytest.approx(0.05, rel=1e-8)
+    pl = PowerLaw(rho=0.1, alpha=-0.5, beta=0.25, x_floor=4.0)
+    assert pl.phi_bound(16.0) == pytest.approx(0.1 * 0.5 * 0.5, rel=1e-8)
+    assert PowerLaw(rho=0.3, alpha=-1.0, beta=0.0).phi_bound(0.0) == pytest.approx(0.3, rel=1e-8)
+    assert DECAYING_TABLE.phi_bound(0.0) == pytest.approx(float(DECAYING_TABLE.values.max()), rel=1e-8)
+    # the clip ceiling wherever the formula has no smaller bound
+    for field, t in [
+        (CriticalLamperti(c=3.0), 1.0),
+        (PowerLaw(rho=0.5, alpha=0.5, beta=0.75), 1e8),  # alpha > 0
+        (PowerLaw(rho=0.1, alpha=-0.5, beta=0.25), 0.0),  # beta > 0 at t = 0
+        (PowerLaw(rho=0.1, alpha=-0.5, beta=2.0), 1e-300),  # t**-beta overflows
+        (MeanReverting(kappa=3.0), 0.0),
+        (Tabulated(x_grid=[0.0, 3.0], t_grid=[0.0, 50.0], values=[[0.7, 0.6], [0.2, 0.1]]), 1e3),
+    ]:
+        assert field.phi_bound(t) == PHI_MAX
+
+    class Bare(DriftField):
+        pass
+
+    assert Bare().phi_bound(1.0) == PHI_MAX

@@ -4,7 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftlab import seeding
+from driftlab.experiments import RecurrenceExperiment, estimate_occupancy
+from driftlab.fields import Constant1, MeanReverting, RateField
 from driftlab.seeding import mix64, path_seed, pcg64_states
+from driftlab.simulator import (
+    martingale_check,
+    simulate_compound_poisson,
+    simulate_walk,
+    wald_second_moment_check,
+)
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -115,3 +123,30 @@ def test_pcg64_states_guard_fails_loudly_when_the_recipe_drifts(monkeypatch, nam
     monkeypatch.setattr(seeding, name, getattr(seeding, name) ^ 2)
     with pytest.raises(RuntimeError, match="default_rng"):
         pcg64_states([path_seed(1, 0), path_seed(1, 1)])
+
+
+_MR = RateField(MeanReverting(kappa=0.2))
+_UNIT = Constant1()
+SEEDED_ENTRY_POINTS = {
+    "RecurrenceExperiment": lambda s: RecurrenceExperiment(_MR, _UNIT, _UNIT, 5, 10.0, 3.0, 1.0, s),
+    "simulate_walk": lambda s: simulate_walk(_MR, _UNIT, _UNIT, 10.0, s),
+    "simulate_compound_poisson": lambda s: simulate_compound_poisson(lambda t: 1.0, 1.0, _UNIT, 10.0, s),
+    "estimate_occupancy": lambda s: estimate_occupancy(_MR, _UNIT, _UNIT, 10.0, (-3, 3), s),
+    "wald_second_moment_check": lambda s: wald_second_moment_check(_MR, _UNIT, _UNIT, 1.0, 100, s),
+    "martingale_check": lambda s: martingale_check(1.0, _UNIT, 1.0, 2.0, 100, s),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_api_entry_points_reject_seeds_outside_64_bits(entry, seed):
+    # -1 used to run as 2**64 - 1 through path_seed's mask, or fail in
+    # numpy without naming the seed
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        SEEDED_ENTRY_POINTS[entry](seed)
+
+
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+def test_api_entry_points_accept_the_64_bit_seed_edges(entry):
+    for seed in (0, 2**64 - 1):
+        SEEDED_ENTRY_POINTS[entry](seed)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from driftlab.fields import (
     ExponentialMean1,
     GammaMean1,
     MeanReverting,
+    PowerLaw,
     RateField,
+    Tabulated,
     UniformMean1,
     Zero,
 )
 from driftlab import simulator
-from driftlab.experiments import RecurrenceExperiment, run_recurrence_experiment
+from driftlab.experiments import RecurrenceExperiment, estimate_occupancy, run_recurrence_experiment
 from driftlab.seeding import path_seed
 from driftlab.simulator import (
+    Trajectory,
     compensator_report,
     martingale_check,
     simulate_compound_poisson,
@@ -192,6 +196,87 @@ def test_paths_overflowing_the_first_block(monkeypatch, rf, law, horizon):
 def test_first_block_size(horizon, n):
     # min(4096, ceil(h + 8 sqrt(h) + 16))
     assert simulator._first_block(horizon) == n
+
+
+# every family, with the bands of the event loop at their edges: no band
+# (zero), a narrow one, the full [0, 1) (alpha > 0, clipped c and kappa, a
+# table above 1/2) and one that narrows with t (power law)
+BAND_FIELDS = {
+    "zero": Zero(),
+    "lamperti": CriticalLamperti(c=0.5),
+    "lamperti_clipped": CriticalLamperti(c=3.0),
+    "power_law": PowerLaw(rho=0.1, alpha=-0.5, beta=0.25),
+    "power_law_alpha_pos": PowerLaw(rho=0.05, alpha=0.5, beta=0.5),
+    "power_law_beta0": PowerLaw(rho=0.3, alpha=-1.0, beta=0.0),
+    "mean_reverting": MeanReverting(kappa=0.2),
+    "mean_reverting_clipped": MeanReverting(kappa=3.0),
+    "tabulated": Tabulated(
+        x_grid=[0.0, 5.0, 20.0, 100.0],
+        t_grid=[0.0, 1000.0, 20000.0],
+        values=[[0.20, 0.15, 0.10], [0.10, 0.08, 0.05], [0.04, 0.03, 0.02], [0.01, 0.01, 0.005]],
+    ),
+    "tabulated_above_half": Tabulated(
+        x_grid=[0.0, 3.0], t_grid=[0.0, 50.0], values=[[0.7, 0.6], [0.2, 0.1]]
+    ),
+}
+BAND_SEEDS = [0, 1, 2**40 + 3, 2**64 - 1]
+BAND_HORIZONS = [30.0, 5e3]
+
+
+@pytest.mark.parametrize("field", BAND_FIELDS)
+@pytest.mark.parametrize("law", range(len(LAWS)))
+def test_band_settled_directions_match_the_phi_on_every_event_loop(field, law):
+    # the reference loop calls phi on every event; the engine only where
+    # the uniform falls inside the block's band
+    rf = RateField(BAND_FIELDS[field])
+    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
+    for seed in BAND_SEEDS:
+        for horizon in BAND_HORIZONS:
+            traj = simulate_walk(rf, up, down, horizon, seed, z0=0.25)
+            assert_same_path(traj, full_block_walk(rf, up, down, horizon, seed, z0=0.25))
+
+
+@pytest.mark.parametrize("kappa", [0.2, 3.0])
+@pytest.mark.parametrize("law", range(len(LAWS)))
+def test_band_settled_occupancy_matches_the_phi_on_every_event_loop(kappa, law):
+    rf = RateField(MeanReverting(kappa=kappa))
+    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
+    n_min, n_max = -12, 12
+    for seed in BAND_SEEDS:
+        for horizon in BAND_HORIZONS:
+            occ = estimate_occupancy(rf, up, down, horizon, (n_min, n_max), seed, z0=0.25)
+            times, _jumps, zs = full_block_walk(rf, up, down, horizon, seed, z0=0.25)
+            starts = np.concatenate(([0.0], times))
+            ends = np.concatenate((times, [horizon]))
+            cells = np.floor(np.concatenate(([0.25], zs))).astype(np.int64) + 1
+            acc = np.zeros(n_max - n_min + 1)
+            inside = (cells >= n_min) & (cells <= n_max)
+            np.add.at(acc, cells[inside] - n_min, (ends - starts)[inside])
+            assert same_bits(occ.p_star, acc / horizon)
+
+
+def test_balance_path_calls_phi_on_few_events():
+    # kappa = 0.2 bounds |phi| by 0.05, so only uniforms in [0.45, 0.55)
+    # need phi: about 10% of the events
+    calls = 0
+
+    class Counting(MeanReverting):
+        def scalar_phi(self):
+            f = super().scalar_phi()
+
+            def counted(x, t):
+                nonlocal calls
+                calls += 1
+                return f(x, t)
+
+            return counted
+
+    args = (Constant1(), Constant1(), 2e4, (-50, 50), 31)
+    occ = estimate_occupancy(RateField(Counting(kappa=0.2)), *args)
+    plain = estimate_occupancy(RateField(MeanReverting(kappa=0.2)), *args)
+    events = simulate_walk(RateField(MeanReverting(kappa=0.2)), Constant1(), Constant1(), 2e4, 31).n_events
+    assert same_bits(occ.p_star, plain.p_star)
+    assert 0 < calls <= 0.15 * events
 
 
 def test_thinning_up_counts_are_poisson_half_rate():
@@ -677,3 +762,40 @@ class TestTrajectoryCsv:
     def test_empty_trajectory(self):
         traj = simulate_walk(ZERO, Constant1(), Constant1(), 0.0, seed=2)
         assert trajectory_csv(traj) == "tau,signed_jump,z_after\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+    def test_blocks_match_the_row_by_row_renderer(self, n):
+        traj = synthetic_trajectory(n, seed=n)
+        assert trajectory_csv(traj) == row_by_row_csv(traj)
+
+    def test_peak_memory_stays_near_the_output_size(self):
+        # rows are rendered a block at a time, so the text dominates the
+        # peak; whole-path row lists would take over 5x the text
+        traj = synthetic_trajectory(100_000, seed=5)
+        tracemalloc.start()
+        try:
+            text = trajectory_csv(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
+
+
+def synthetic_trajectory(n, seed):
+    """n events of a walk-like path, with -0.0, a subnormal and large
+    values among them."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.standard_exponential(n))
+    jumps = np.where(rng.random(n) < 0.5, 1.0, -1.0) * rng.standard_gamma(2.0, n) / 2.0
+    jumps[: min(n, 3)] = [-0.0, 5e-324, 1e16][: min(n, 3)]
+    return Trajectory(seed=seed, horizon=float(n), z0=0.0, times=times, jumps=jumps,
+                      z_after=np.cumsum(jumps))
+
+
+def row_by_row_csv(traj):
+    """Reference: one f-string per row over whole-path lists."""
+    lines = ["tau,signed_jump,z_after"]
+    times, jumps, zs = traj.times.tolist(), traj.jumps.tolist(), traj.z_after.tolist()
+    for i in range(len(times)):
+        lines.append(f"{times[i]!r},{jumps[i]!r},{zs[i]!r}")
+    return "\n".join(lines) + "\n"
