@@ -70,6 +70,7 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+_CSV_ROWS = 4096  # rows per block of the bd-oracle csv
 
 
 class _Sect:
@@ -515,10 +516,14 @@ def _cmd_bd_oracle(rc: RunConfig) -> tuple[int, Optional[str], str]:
         results[crit] = {**cls.to_record(), "evidence": cls.evidence}
 
     if rc.output_format == "csv":
-        lines = ["n,lambda_star,mu_star"]
-        for i, n in enumerate(range(chain.n_min, chain.n_max + 1)):
-            lines.append(f"{n},{float(chain.lam[i])!r},{float(chain.mu[i])!r}")
-        payload: Optional[str] = "\n".join(lines) + "\n"
+        # rendered _CSV_ROWS rows at a time from plain floats, as
+        # trajectory_csv renders a path
+        blocks = ["n,lambda_star,mu_star\n"]
+        for lo in range(0, chain.n_max - chain.n_min + 1, _CSV_ROWS):
+            ns = range(chain.n_min + lo, min(chain.n_min + lo + _CSV_ROWS, chain.n_max + 1))
+            lam, mu = (v[lo : lo + len(ns)].tolist() for v in (chain.lam, chain.mu))
+            blocks.append("".join([f"{n},{a!r},{b!r}\n" for n, a, b in zip(ns, lam, mu)]))
+        payload: Optional[str] = "".join(blocks)
     else:
         payload = _record_json(rc, {"chain_window": [chain.n_min, chain.n_max], **results})
 

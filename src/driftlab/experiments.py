@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifier import BDChain
 from .fields import JumpLaw, RateField
-from .seeding import check_seed, path_seed
+from .seeding import check_seed, path_seeds
 from .simulator import _batch_chunks, _event_blocks
 
 __all__ = [
@@ -132,7 +132,7 @@ def _run_path_range(exp: RecurrenceExperiment, start: int, stop: int) -> list[Pa
     """Outcomes of paths start..stop-1, reduced chunk by chunk from the
     lockstep engine: first event with |z| >= level, any |z| <= band
     strictly after it, and the last z (z0 when there are no events)."""
-    seeds = [path_seed(exp.seed, i) for i in range(start, stop)]
+    seeds = path_seeds(exp.seed, start, stop).tolist()
     n = len(seeds)
     reached = np.zeros(n, dtype=bool)
     returned = np.zeros(n, dtype=bool)

@@ -1,9 +1,15 @@
 """Per-path seed derivation.
 
 Each simulated path owns an independent RNG stream seeded by mixing the
-master seed with the path index through splitmix64.  The construction is
-order-free, so paths can be generated in any order (or on any worker)
-and still reproduce byte-identically.
+master seed with the path index through splitmix64:
+``mix64(mix64(master) ^ index)`` (draw contract 3).  The master is mixed
+before the index is folded in, so two masters share a path seed only
+when ``mix64(m1) ^ mix64(m2)`` is below the path count, odds of about
+n / 2**64; folding the raw master in, as contract 2 did, made masters
+that differ only in bits below ``n_paths`` (1 and 7 under 400 paths)
+share one ensemble.  The construction is order-free, so paths can be
+generated in any order (or on any worker) and still reproduce
+byte-identically.
 
 A path's stream is the one ``np.random.default_rng(path_seed(master,
 i))`` starts, but building a generator per path costs about 20 us, most
@@ -43,11 +49,14 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))  # splitmix64's rounds
+
+
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a 64-bit bijective scramble."""
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    for shift, mult in _MIX:
+        z = ((z ^ (z >> shift)) * mult) & _MASK
     return (z ^ (z >> 31)) & _MASK
 
 
@@ -55,7 +64,19 @@ def path_seed(master: int, index: int) -> int:
     """Seed for path ``index`` under ``master``; collision-free in index."""
     if index < 0:
         raise ValueError("path index must be nonnegative")
-    return mix64((master & _MASK) ^ (index & _MASK))
+    return mix64(mix64(master) ^ (index & _MASK))
+
+
+def path_seeds(master: int, start: int, stop: int) -> np.ndarray:
+    """``path_seed(master, i)`` for i in range(start, stop), as a uint64
+    array: ``mix64`` runs as array operations, whose uint64 products wrap
+    mod 2**64 as its masks do."""
+    if start < 0:
+        raise ValueError("path index must be nonnegative")
+    z = np.arange(start, stop, dtype=np.uint64) ^ np.uint64(mix64(master))
+    for shift, mult in _MIX:
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    return z ^ (z >> np.uint64(31))
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list[int]:
@@ -75,7 +96,7 @@ def _hashmix(value: np.ndarray, consts: list[int], i: int) -> np.ndarray:
     return value ^ (value >> _XSHIFT)
 
 
-def pcg64_states(seeds: Sequence[int]) -> list[dict]:
+def pcg64_states(seeds: Sequence[int] | np.ndarray) -> list[dict]:
     """The ``bit_generator.state`` that ``np.random.default_rng(s)``
     starts in, for each seed s in [0, 2**64), bit for bit.
 

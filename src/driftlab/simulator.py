@@ -10,7 +10,7 @@ waits, then split each event up/down with probability lambda vs mu at
 the event time.  No proposal is ever rejected, so the simulation is
 exact and consumes a fixed number of draws per event.
 
-Draw recipe (version 2) per block of n events, in order: n
+Walk draw recipe (version 2) per block of n events, in order: n
 inter-event waits, n direction uniforms, n up-marks, n down-marks.  The
 first block of a path holds n = ``_first_block(horizon)`` events, which
 is min(4096, ceil(h + 8 sqrt(h) + 16)) for a horizon h >= 0: the event
@@ -27,8 +27,8 @@ may use a variable number of words per mark, which positions the down
 marks) and its k down marks.  The values used are the full recipe's.
 
 Two engines read the recipe.  ``_event_blocks`` runs one path with the
-scalar ``scalar_phi`` closure; single-path commands, occupancy and the
-second-moment check use it.  It calls the closure only where the field
+scalar ``scalar_phi`` closure; single-path commands and occupancy use
+it.  It calls the closure only where the field
 can change a direction: with m = ``drift.phi_bound(t)`` at the block's
 start time t, a uniform u < 0.5 - m is an up-step and u >= 0.5 + m a
 down-step whatever phi is, because |phi| <= m from t on and rounding is
@@ -38,44 +38,64 @@ the phi-on-every-event loop's bit for bit.
 
 ``_batch_chunks`` runs an ensemble in lockstep, one event of every live
 path per step, with the vectorized ``phi`` evaluated across paths; the
-band-return experiment uses it, and its worker processes each run one
-contiguous span of paths.  Each path keeps its own generator, which at
-every block start positions four cursor generators at the block's
-waits, uniforms, up marks and down marks (through
-``bit_generator.state``); the cursors then draw the
-block 128 events at a time straight into rows of buffers reused across
-chunks, so the engine holds O(paths x 128) draws, never a (paths, 4096)
-block, and paths run in sub-batches of at most 512.  ``Constant1``
-marks draw no generator words, so a unit-mark side's buffer is filled
-once (+1 up, -1 down) and nothing is drawn for it.  The engine's paths
-equal ``_event_blocks``' bit for bit wherever ``phi`` and
-``scalar_phi`` agree, which they do for every family except
+band-return experiment and the second-moment check use it, and the
+experiment's worker processes each run one contiguous span of paths.
+Paths run in sub-batches of at most ``_BATCH`` (512).  A first block of
+n <= ``_CHUNK`` (128) events, such as the 25 of a check at sigma 1, is
+drawn whole, path by path, by ``_draw_rows``: one generator, set to
+each path's start, draws the n waits, n uniforms, n up marks and n down
+marks straight into right-sized rows, ``_CHUNK`` paths at a time, and
+the event counts come from the times.  A larger block is drawn through
+each path's own generator, which at the block start positions four
+cursor generators at the block's waits, uniforms, up marks and down
+marks (through ``bit_generator.state``); the cursors then draw the
+block 128 events at a time into buffers reused across chunks, so the
+engine holds O(paths x 128) draws, never a (paths, 4096) block.  The
+path generators and cursors are made only when a block needs them.
+``Constant1`` marks draw no generator words, so a unit-mark side's
+buffer is filled once (+1 up, -1 down) and nothing is drawn for it.
+The engine's paths equal ``_event_blocks``' bit for bit wherever
+``phi`` and ``scalar_phi`` agree, which they do for every family except
 ``PowerLaw`` (numpy's ``power`` and libm's ``pow`` differ by up to 4
 ulp), where a direction flips only if a uniform lands within those ulp
 of its threshold.
 
 A path seeded with s draws the stream ``np.random.default_rng(s)``
 starts; path i of an ensemble under master seed m has s =
-``path_seed(m, i)``.  Single-path entry points (``simulate_walk``,
-``simulate_compound_poisson``, occupancy) build that generator.  The
-ensembles (``_batch_chunks`` and the two checks) instead set reused
-generators to the states ``pcg64_states`` derives for ``_BATCH`` paths
-at a time, which costs about 3 us a path instead of about 20 for a new
-generator, and draw the same bits.
+``path_seed(m, i)`` = mix64(mix64(m) ^ i).  Single-path entry points
+(``simulate_walk``, ``simulate_compound_poisson``, occupancy) build that
+generator.  The ensembles (``_batch_chunks`` and the martingale check)
+instead set reused generators to the states ``pcg64_states`` derives
+for a sub-batch of paths at a time, which costs about 3 us a path
+instead of about 20 for a new generator, and draw the same bits.
+
+Compound-Poisson draw recipe (version 3).  A path thins a proposal
+clock of rate ``rate_bound``.  It draws proposals in blocks of n: n
+waits, then n uniforms, then n marks, with n =
+``_first_block(rate_bound * horizon)`` for the first block and
+``_BLOCK`` after it.  Proposal times are the carried left fold
+t + w / rate_bound, computed as a cumsum seeded with the carried t;
+proposal i is accepted iff t_i <= horizon and u_i * rate_bound <=
+rate(t_i), and then carries mark i.  A block whose last proposal lies
+inside the horizon is followed by the next.  ``simulate_compound_poisson``
+runs it for one path (``_compound_poisson``); ``martingale_check``
+draws each path's first block straight into rows with ``_draw_rows``,
+``_CHUNK`` paths at a time, and thins them as arrays; the rare path
+whose first block ends inside the horizon with no accepted event past
+tau is drawn again, whole, by ``_compound_poisson``.
 
 The compensators have one fold, ``_compensate``, shared by
 ``compensator_report`` (one path) and ``martingale_check`` (many).  The
-check draws its compound-Poisson paths one at a time through the
-thinning loop ``_thin``, each from its own stream, and prices them
-in sub-batches of ``_BATCH`` paths: the sub-batch's inter-event
+check prices its paths in sub-batches of at most ``_BATCH``, and of at
+most ``_BATCH * _CHUNK`` first-block cells, so memory does not grow with
+rate x horizon: the sub-batch's inter-event
 intervals and tails to tau sit in flat arrays, one ``_integrals`` pass
 applies the Gauss-Legendre rule to all of them panel by panel, and each
 path's compensator is folded column by column (event j of every path
-that has one), so nothing is padded to a (paths x events) matrix and
-memory grows with the sub-batch, not with ``n_paths``.  Per path the
-arithmetic is a scalar loop's, in the same order, so the values are
-bit-identical to it whenever the intensity's own arithmetic is
-correctly rounded.
+that has one), so nothing is padded to a (paths x events) matrix.  Per
+path the arithmetic is a scalar loop's, in the same order, so the
+values are bit-identical to it whenever the intensity's own arithmetic
+is correctly rounded.
 """
 
 from __future__ import annotations
@@ -83,13 +103,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fields import Constant1, JumpLaw, RateField, Zero
-from .seeding import check_seed, path_seed, pcg64_states
+from .seeding import check_seed, path_seeds, pcg64_states
 
 __all__ = [
     "Trajectory",
@@ -160,8 +179,9 @@ def simulate_walk(
 
 
 def _first_block(horizon: float) -> int:
-    """Events in a path's first draw block (recipe version 2): at least
-    16, and ``_BLOCK`` from horizon 3600 on."""
+    """Events in a path's first draw block (walk recipe 2), or proposals
+    in a compound-Poisson path's (recipe 3, at horizon rate_bound *
+    horizon): at least 16, and ``_BLOCK`` from horizon 3600 on."""
     if horizon >= 3600.0:  # where the rule reaches _BLOCK; also inf
         return _BLOCK
     return math.ceil(horizon + 8.0 * math.sqrt(horizon) + 16.0)
@@ -237,16 +257,33 @@ def _event_blocks(
         n = _BLOCK
 
 
-def _path_rngs(seed: int, n_paths: int) -> Iterator[np.random.Generator]:
-    """One generator, positioned in turn at the start of paths 0, 1, ...
-    under master ``seed``: the state ``default_rng(path_seed(seed, i))``
-    starts in, derived ``_BATCH`` paths at a time."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for lo in range(0, n_paths, _BATCH):
-        seeds = [path_seed(seed, i) for i in range(lo, min(lo + _BATCH, n_paths))]
-        for state in pcg64_states(seeds):
-            rng.bit_generator.state = state
-            yield rng
+def _draw_rows(
+    rngs: Iterable[np.random.Generator],
+    waits: np.ndarray,
+    uniforms: np.ndarray,
+    marks: Sequence[tuple[JumpLaw, np.ndarray]],
+) -> None:
+    """Draw one whole block per path straight into its rows: from the
+    i-th generator, n waits into ``waits[i]``, n uniforms into
+    ``uniforms[i]``, then n marks into row i of each ``(law, buffer)`` of
+    ``marks`` in turn, n being the buffers' width.  A ``Constant1`` law
+    draws no words, so its buffer is left as the caller filled it."""
+    drawn = [(law, m) for law, m in marks if not isinstance(law, Constant1)]
+    n = waits.shape[1]
+    for i, rng in enumerate(rngs):
+        rng.standard_exponential(out=waits[i])
+        rng.random(out=uniforms[i])
+        for law, m in drawn:
+            law.sample_block(rng, n, out=m[i])
+
+
+def _at_states(
+    rng: np.random.Generator, states: Sequence[dict]
+) -> Iterator[np.random.Generator]:
+    """``rng`` set in turn to each of ``states``."""
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _batch_chunks(
@@ -263,43 +300,111 @@ def _batch_chunks(
 
     Yields ``(rows, times, z_after, counts)`` per chunk of at most
     ``_CHUNK`` events: row i of the ``times`` and ``z_after`` views holds
-    the next ``counts[i]`` events of path ``seeds[rows[i]]``; columns past
-    a row's count are padding.  The views are overwritten by the next
-    chunk, so a consumer reduces them before asking for it.
+    the next ``counts[i]`` (>= 1) events of path ``seeds[rows[i]]``;
+    columns past a row's count are padding.  The views are overwritten
+    by the next chunk, so a consumer reduces them before asking for it.
 
-    Each path keeps a pooled generator, set to its derived starting
-    state at the start of its sub-batch, which only positions four cursor
-    generators at every block start (waits, direction uniforms, up marks,
-    down marks), and the cursors then draw the block chunk by chunk into
-    the buffers, so memory grows with ``_BATCH * _CHUNK``, not with the
-    block.  A ``Constant1`` side keeps its buffer of unit marks and draws
-    nothing.  The field is evaluated across paths with the vectorized
-    ``phi``.
+    Paths run in sub-batches of ``_BATCH``.  A first block of n <=
+    ``_CHUNK`` events is drawn whole by one generator set to each path's
+    derived starting state, into right-sized rows (n waits, n uniforms,
+    n up marks, n down marks) ``_CHUNK`` paths at a time, and its event
+    counts come from its times.  A path that goes on past such a block,
+    or whose first block is larger, gets a pooled generator set to its
+    starting state (and moved past a first block drawn whole), which at
+    every block start positions four cursor generators (waits, direction
+    uniforms, up marks, down marks); the cursors draw the block chunk by
+    chunk into the buffers, so memory grows with ``_BATCH * _CHUNK``,
+    not with the block.  The pooled generators and cursors are made the
+    first time a path needs them.  A ``Constant1`` side keeps its buffer
+    of unit marks and draws nothing.  The field is evaluated across
+    paths with the vectorized ``phi``.
     """
     if horizon <= 0.0:
         return
     drift = None if isinstance(rf.drift, Zero) else rf.drift
     width = min(_BATCH, len(seeds))
-    # A new PCG64 costs ~20 us, so the path generators and their cursors
-    # are made once and positioned through their state.
-    rngs = [np.random.Generator(np.random.PCG64(0)) for _ in range(width)]
-    pool = [[np.random.Generator(np.random.PCG64(0)) for _ in range(4)] for _ in range(width)]
-    # waits (then times), uniforms, up marks, down marks (negated), z_after
-    tt, uu, aa, dd, zz = np.zeros((5, width, _CHUNK))
-    # unit marks are never random: their buffers are filled once
+    # A new PCG64 costs ~20 us and ~2 kB, so generators are made once and
+    # positioned through their state: one draws whole first blocks, and
+    # the per-path generators and their cursors are made when a path
+    # first goes past its first block or that block needs cursors.
+    rng = np.random.Generator(np.random.PCG64(0))
+    rngs: list[np.random.Generator] = []
+    pool: list[list[np.random.Generator]] = []
     unit_up, unit_dn = isinstance(up_law, Constant1), isinstance(down_law, Constant1)
-    if unit_up:
-        aa.fill(1.0)
-    if unit_dn:
-        dd.fill(-1.0)
+    bufs: dict[tuple[int, int], np.ndarray] = {}
+
+    def buffers(rows: int, cols: int) -> np.ndarray:
+        # waits (then times), uniforms (then z_after), up marks, down
+        # marks (negated); unit marks are never random, so they are
+        # filled once
+        if (rows, cols) not in bufs:
+            b = bufs[rows, cols] = np.zeros((4, rows, cols))
+            if unit_up:
+                b[2].fill(1.0)
+            if unit_dn:
+                b[3].fill(-1.0)
+        return bufs[rows, cols]
+
+    def walk(rows, counts, t, u, a, d):
+        # the rows' times are in t; place their first counts[i] events
+        # in u, each column once its uniforms are read, and carry each
+        # row's last
+        steps = int(counts.max())
+        t, z, a, d = (b[:, :steps] for b in (t, u, a, d))
+        if not unit_dn:
+            np.negative(d, out=d)
+        if drift is None:
+            up = z < 0.5
+            np.copyto(z, d)
+            np.copyto(z, a, where=up)
+            z[:, 0] += z_carry[rows]
+            np.cumsum(z, axis=1, out=z)
+        else:
+            zs = z_carry[rows]
+            for s in range(steps):
+                up = z[:, s] < 0.5 + drift.phi(zs, t[:, s])
+                zs = z[:, s] = zs + np.where(up, a[:, s], d[:, s])
+        last = (np.arange(rows.size), counts - 1)
+        t_carry[rows] = t[last]
+        z_carry[rows] = z[last]
+        return rows + lo, t, z, counts
+
     for lo in range(0, len(seeds), _BATCH):
         states = pcg64_states(seeds[lo : lo + _BATCH])
-        for rng, state in zip(rngs, states):
-            rng.bit_generator.state = state
         live = np.arange(len(states))
         t_carry = np.zeros(len(states))
         z_carry = np.full(len(states), z0, dtype=float)
         n = _first_block(horizon)  # every live path is in the same block
+        whole = n <= _CHUNK
+        if whole:
+            # the block is one chunk: draw it whole, path by path, into
+            # right-sized rows, _CHUNK paths at a time, then count its
+            # events from the times
+            k = np.empty(live.size, dtype=int)
+            for g in range(0, live.size, _CHUNK):
+                group = live[g : g + _CHUNK]
+                t, u, a, d = buffers(min(width, _CHUNK), n)[:, : group.size]
+                _draw_rows(_at_states(rng, states[g : g + _CHUNK]), t, u,
+                           ((up_law, a), (down_law, d)))
+                np.cumsum(t, axis=1, out=t)
+                kg = k[g : g + _CHUNK] = np.count_nonzero(t <= horizon, axis=1)
+                if kg.any():
+                    # rows without events are walked too (their carries
+                    # are never read again) and left out of what is yielded
+                    rows, t, z, counts = walk(group, kg, t, u, a, d)
+                    on = kg > 0
+                    yield (rows, t, z, counts) if on.all() else (rows[on], t[on], z[on], counts[on])
+            live = live[k == n]
+        if live.size and not rngs:
+            rngs = [np.random.Generator(np.random.PCG64(0)) for _ in range(width)]
+            pool = [[np.random.Generator(np.random.PCG64(0)) for _ in range(4)]
+                    for _ in range(width)]
+        for p in live.tolist():
+            rngs[p].bit_generator.state = states[p]
+            if whole:  # move past the first block, drawn whole above
+                _position(rngs[p], pool[p], 0.0, horizon, n, up_law, down_law)
+        if whole:
+            n = _BLOCK
         while live.size:
             k = np.array([_position(rngs[p], pool[p], t_carry[p], horizon, n, up_law, down_law)
                           for p in live.tolist()])
@@ -308,15 +413,15 @@ def _batch_chunks(
                 on = counts > 0
                 rows, counts = live[on], counts[on]
                 nr, steps = rows.size, int(counts.max())
-                t, u, a, d, z = (b[:nr, :steps] for b in (tt, uu, aa, dd, zz))
+                t, u, a, d = buffers(width, _CHUNK)[:, :nr, :steps]
                 for i, (p, c) in enumerate(zip(rows.tolist(), counts.tolist())):
                     cw, cu, ca, cd = pool[p]
                     cw.standard_exponential(out=t[i, :c])
                     cu.random(out=u[i, :c])
                     if not unit_up:
-                        a[i, :c] = up_law.sample_block(ca, c)
+                        up_law.sample_block(ca, c, out=a[i, :c])
                     if not unit_dn:
-                        d[i, :c] = down_law.sample_block(cd, c)
+                        down_law.sample_block(cd, c, out=d[i, :c])
                     if c < steps:
                         # zero waits and jumps keep the ignored lanes finite
                         t[i, c:] = u[i, c:] = 0.0
@@ -324,23 +429,9 @@ def _batch_chunks(
                             a[i, c:] = 0.0
                         if not unit_dn:
                             d[i, c:] = 0.0
-                if not unit_dn:
-                    np.negative(d, out=d)
                 t[:, 0] += t_carry[rows]
                 np.cumsum(t, axis=1, out=t)
-                if drift is None:
-                    np.copyto(z, np.where(u < 0.5, a, d))
-                    z[:, 0] += z_carry[rows]
-                    np.cumsum(z, axis=1, out=z)
-                else:
-                    zs = z_carry[rows]
-                    for s in range(steps):
-                        up = u[:, s] < 0.5 + drift.phi(zs, t[:, s])
-                        zs = z[:, s] = zs + np.where(up, a[:, s], d[:, s])
-                last = (np.arange(nr), counts - 1)
-                t_carry[rows] = t[last]
-                z_carry[rows] = z[last]
-                yield rows + lo, t, z, counts
+                yield walk(rows, counts, t, u, a, d)
             # a block short of its n events is the path's last, however
             # close its last event is to the horizon
             live = live[k == n]
@@ -381,56 +472,74 @@ def simulate_compound_poisson(
     horizon: float,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One compound-Poisson path by thinning a rate-bound proposal clock.
+    """One compound-Poisson path by thinning a rate-bound proposal clock
+    (draw recipe 3, see the module docstring).
 
     ``rate`` is the deterministic intensity, ``rate_bound`` a finite
     upper bound for it on [0, horizon].  Returns event times and marks.
-    ``rate`` is called here with each proposal time as a float, and by
-    ``compensator_report`` with float64 arrays of times, so write it
+    ``rate`` is called here with float64 arrays of proposal times, as
+    ``compensator_report`` calls it with arrays of times, so write it
     with elementwise numpy arithmetic; a constant may return a scalar.
-    When its arithmetic is correctly rounded (+, -, *, /, sqrt) both
-    forms give the same bits, so the path's compensators equal those of
-    a scalar rule that calls ``rate`` one float at a time.
+    When its arithmetic is correctly rounded (+, -, *, /, sqrt) the
+    values are those of a scalar rule that calls ``rate`` one float at
+    a time.
     """
     if not 0.0 < rate_bound < math.inf:  # written so that NaN fails too
         raise ValueError("rate_bound must be positive and finite")
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be nonnegative and finite")
     check_seed(seed)
-    times, marks = _thin(np.random.default_rng(seed), rate, rate_bound, law, horizon, horizon)
-    return np.array(times), np.array(marks)
+    return _compound_poisson(np.random.default_rng(seed), rate, rate_bound, law, horizon, horizon)
 
 
-def _thin(
+def _compound_poisson(
     rng: np.random.Generator,
     rate: Callable,
     rate_bound: float,
     law: JumpLaw,
     horizon: float,
     stop: float,
-) -> tuple[list[float], list[float]]:
-    """The thinning loop: accepted event times and marks on (0, horizon],
-    drawn per proposal in the order wait, uniform, mark (a mark only when
-    accepted).  Returns early after the first accepted event past
-    ``stop``, since nothing drawn after it is read."""
-    wait, uniform, mark = rng.standard_exponential, rng.random, law.sample
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recipe 3 from ``rng``'s position: the accepted event times and
+    marks on (0, horizon].  Returns after the first block holding an
+    accepted event past ``stop``, since nothing drawn after it is read."""
     scale = 1.0 / rate_bound
-    r_max = rate_bound * (1.0 + 1e-12)
     t = 0.0
-    times: list[float] = []
-    marks: list[float] = []
+    n = _first_block(rate_bound * horizon)
+    times: list[np.ndarray] = []
+    marks: list[np.ndarray] = []
     while True:
-        t += scale * wait()  # numpy's exponential(scale), bit for bit
-        if t > horizon:
-            return times, marks
-        r = rate(t)
-        if not -1e-15 <= r <= r_max:
-            raise ValueError(f"rate(t)={r} falls outside [0, rate_bound] at t={t}")
-        if uniform() * rate_bound <= r:
-            times.append(t)
-            marks.append(mark(rng))
-            if t > stop:
-                return times, marks
+        tb = rng.standard_exponential(n)
+        tb *= scale
+        tb[0] += t
+        np.cumsum(tb, out=tb)
+        u = rng.random(n)
+        mb = law.sample_block(rng, n)
+        on = _accepted(rate, rate_bound, tb, u, horizon)
+        times.append(tb[on])
+        marks.append(mb[on])
+        if tb[-1] > horizon or (times[-1].size and times[-1][-1] > stop):
+            return np.concatenate(times), np.concatenate(marks)
+        t = float(tb[-1])
+        n = _BLOCK
+
+
+def _accepted(
+    rate: Callable, rate_bound: float, times: np.ndarray, u: np.ndarray, horizon: float
+) -> np.ndarray:
+    """Recipe 3's thinning of proposals of any shape: proposal i is
+    accepted iff t_i <= horizon and u_i * rate_bound <= rate(t_i).
+    Raises if ``rate`` leaves [0, rate_bound] at a proposal time up to
+    the horizon."""
+    on = times <= horizon
+    ts = times[on]
+    r = np.broadcast_to(rate(ts), ts.shape)
+    ok = (r >= -1e-15) & (r <= rate_bound * (1.0 + 1e-12))  # NaN fails too
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"rate(t)={float(r[i])} falls outside [0, rate_bound] at t={float(ts[i])}")
+    on[on] = u[on] * rate_bound <= r
+    return on
 
 
 def _integrals(rate: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -629,8 +738,9 @@ def martingale_check(
     Path i is ``simulate_compound_poisson(r, rate, law, horizon,
     path_seed(seed, i))`` with r the constant ``rate`` (drawn only up to
     its first event past tau), and its residuals are
-    ``compensator_report``'s, bit for bit.  Paths are priced
-    ``_BATCH`` at a time by one ``_compensate`` call.
+    ``compensator_report``'s, bit for bit.  Paths are drawn ``_CHUNK``
+    at a time into rows and priced by one ``_compensate`` call per
+    sub-batch (see the module docstring).
     """
     if not 0.0 < rate < math.inf:  # written so that NaN fails too
         raise ValueError("rate must be positive and finite")
@@ -644,25 +754,58 @@ def martingale_check(
     intensity = lambda t: rate  # noqa: E731 - constant intensity
     lit = np.empty(n_paths)
     ens = np.empty(n_paths)
-    rngs = _path_rngs(seed, n_paths)
-    for lo in range(0, n_paths, _BATCH):
-        hi = min(lo + _BATCH, n_paths)
-        times: list[float] = []
-        marks: list[float] = []
-        counts: list[int] = []
-        nxt: list[float] = []
-        for rng in islice(rngs, hi - lo):
-            ts, ms = _thin(rng, intensity, rate, law, horizon, tau)
-            k = bisect_right(ts, tau)
-            times += ts[:k]
-            marks += ms[:k]
-            counts.append(k)
-            nxt.append(ms[k] if k < len(ms) else 1.0)
+    n = _first_block(rate * horizon)
+    # paths priced by one _compensate call, their cells capped so that
+    # memory does not grow with rate * horizon; drawn _CHUNK at a time
+    width = max(1, min(_BATCH, _BATCH * _CHUNK // n))
+    w, u, m = np.empty((3, min(width, _CHUNK, n_paths), n))
+    if isinstance(law, Constant1):
+        m.fill(1.0)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for lo in range(0, n_paths, width):
+        states = pcg64_states(path_seeds(seed, lo, min(lo + width, n_paths)))
+        # the paths in the order their events go into times: order holds
+        # their indices, counts and nxt their event counts to tau and
+        # next marks; the paths drawn again come last
+        times, marks, counts, nxt, order = [], [], [], [], []
+        again: list[int] = []
+        for g in range(0, len(states), _CHUNK):
+            group = states[g : g + _CHUNK]
+            tb, ub, mb = w[: len(group)], u[: len(group)], m[: len(group)]
+            _draw_rows(_at_states(rng, group), tb, ub, ((law, mb),))
+            tb *= 1.0 / rate
+            np.cumsum(tb, axis=1, out=tb)
+            on = _accepted(intensity, rate, tb, ub, horizon)
+            before = on & (tb <= tau)
+            after = on & ~before
+            first = np.argmax(after, axis=1)  # each row's first accepted event past tau
+            rows = np.arange(len(group))
+            has_next = after[rows, first]
+            # a path whose first block ends inside the horizon with no
+            # accepted event past tau goes on: it is drawn again, whole
+            once = (tb[:, -1] > horizon) | has_next
+            before &= once[:, None]
+            times.append(tb[before])
+            marks.append(mb[before])
+            counts.append(np.count_nonzero(before, axis=1)[once])
+            nxt.append(np.where(has_next, mb[rows, first], 1.0)[once])
+            order.append(g + rows[once])
+            again += (g + rows[~once]).tolist()
+        for i in again:
+            rng.bit_generator.state = states[i]
+            ts, ms = _compound_poisson(rng, intensity, rate, law, horizon, tau)
+            k = int(np.searchsorted(ts, tau, side="right"))
+            times.append(ts[:k])
+            marks.append(ms[:k])
+            counts.append([k])
+            nxt.append([ms[k] if k < ms.size else 1.0])
+        order.append(np.array(again, dtype=int))
         raw, literal, ensemble = _compensate(
-            intensity, tau, np.array(times), np.array(marks), np.array(counts), np.array(nxt)
+            intensity, tau, *(np.concatenate(v) for v in (times, marks, counts, nxt))
         )
-        np.subtract(raw, literal, out=lit[lo:hi])
-        np.subtract(raw, ensemble, out=ens[lo:hi])
+        at = lo + np.concatenate(order)
+        lit[at] = raw - literal
+        ens[at] = raw - ensemble
     return MartingaleCheck(
         n_paths=n_paths,
         tau=tau,
@@ -700,6 +843,11 @@ def wald_second_moment_check(
     The bound holds for any admissible drift because both jump rates are
     bounded by 1 and marks have mean 1.  ``passed`` allows 5% sampling
     slack on top of the bound.
+
+    The paths are the lockstep engine's, and the estimate is the left
+    fold of dz^2 over their final positions in path order, so it equals
+    a loop over ``simulate_walk(..., path_seed(seed, i))`` bit for bit
+    (up to ``PowerLaw``'s caveat in the module docstring).
     """
     if not 0.0 <= sigma < math.inf:  # written so that NaN fails too
         raise ValueError("sigma must be nonnegative and finite")
@@ -707,14 +855,13 @@ def wald_second_moment_check(
         raise ValueError("n_paths must be at least 100")
     check_seed(seed)
     bound = sigma * (2.0 + up_law.variance + down_law.variance)
-    acc = 0.0
-    for rng in _path_rngs(seed, n_paths):
-        z = z0
-        for _t, _j, zb in _event_blocks(rf, up_law, down_law, sigma, rng, z0):
-            z = float(zb[-1])
-        dz = z - z0
-        acc += dz * dz
-    emp = acc / n_paths
+    final = np.full(n_paths, z0, dtype=float)
+    chunks = _batch_chunks(rf, up_law, down_law, sigma, path_seeds(seed, 0, n_paths), z0)
+    for rows, _t, z, counts in chunks:
+        final[rows] = z[np.arange(rows.size), counts - 1]
+    dz = final - z0
+    # the left fold 0 + dz_0^2 + dz_1^2 + ... in path order, as cumsum adds
+    emp = float(np.cumsum(dz * dz)[-1]) / n_paths
     return WaldCheck(
         sigma=sigma,
         n_paths=n_paths,

@@ -10,6 +10,7 @@ import yaml
 
 import driftlab
 from driftlab import cli
+from driftlab.classifier import ratio_family_chain
 from driftlab.cli import ConfigError, main, parse_config
 from driftlab.fields import (
     Constant1,
@@ -509,6 +510,22 @@ class TestMainBdOracle:
         n, lam, mu = lines[1].split(",")
         assert n == "2"
         assert float(lam) + float(mu) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n_max", [3, 4097, 4098, 4099, 8195])
+    def test_chain_csv_blocks_match_the_row_by_row_renderer(self, tmp_path, n_max):
+        # windows of 2, 4096 +- 1 and 8194 rows, rendered 4096 at a time
+        cfg = write(
+            tmp_path,
+            "command: bd-oracle\n"
+            f"bd-oracle: {{source: ratio, c: 2.0, n_max: {n_max}, criterion: ratio}}\n",
+        )
+        out = tmp_path / "chain.csv"
+        assert main([cfg, "--format", "csv", "--out", str(out)]) == 0
+        chain = ratio_family_chain(2.0, 2, n_max)
+        rows = ["n,lambda_star,mu_star"]
+        for i, n in enumerate(range(chain.n_min, chain.n_max + 1)):
+            rows.append(f"{n},{float(chain.lam[i])!r},{float(chain.mu[i])!r}")
+        assert out.read_text() == "\n".join(rows) + "\n"
 
     def test_discretized_field_source(self, tmp_path, capsys):
         cfg = write(

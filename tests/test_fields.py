@@ -272,16 +272,23 @@ class TestJumpLaws:
             (GammaMean1(k=3.0), lambda rng, n: rng.gamma(3.0, 1.0 / 3.0, n)),
             (ExponentialMean1(), lambda rng, n: rng.exponential(1.0, n)),
             (UniformMean1(d=0.4), lambda rng, n: rng.uniform(0.6, 1.4, n)),
+            (Constant1(), lambda rng, n: np.ones(n)),
         ],
-        ids=["gamma0.3", "gamma2", "gamma3", "exponential", "uniform"],
+        ids=["gamma0.3", "gamma2", "gamma3", "exponential", "uniform", "constant"],
     )
     def test_kernels_match_the_generic_numpy_calls(self, law, old):
-        # blocks, scalar samples and the generator's next draw all match
-        # the calls the draw recipe was written with
+        # blocks, blocks drawn into a row of a buffer, scalar samples and
+        # the generator's next draw all match the calls the draw recipe
+        # was written with
         for n in (1, 7, 4096):
-            a, b = np.random.default_rng(n), np.random.default_rng(n)
-            assert law.sample_block(a, n).tobytes() == old(b, n).tobytes()
-            assert a.random() == b.random()
+            a, b, c = (np.random.default_rng(n) for _ in range(3))
+            want = old(b, n).tobytes()
+            assert law.sample_block(a, n).tobytes() == want
+            rows = np.full((3, n), np.nan)
+            row = rows[1]
+            assert law.sample_block(c, n, out=row) is row
+            assert row.tobytes() == want and np.isnan(rows[[0, 2]]).all()
+            assert a.random() == b.random() == c.random()
         a, b = np.random.default_rng(5), np.random.default_rng(5)
         got = [law.sample(a) for _ in range(2000)]
         assert all(type(v) is float for v in got)

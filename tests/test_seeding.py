@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from driftlab import seeding
 from driftlab.experiments import RecurrenceExperiment, estimate_occupancy
 from driftlab.fields import Constant1, MeanReverting, RateField
-from driftlab.seeding import mix64, path_seed, pcg64_states
+from driftlab.seeding import mix64, path_seed, path_seeds, pcg64_states
 from driftlab.simulator import (
     martingale_check,
     simulate_compound_poisson,
@@ -47,8 +47,26 @@ def test_mix64_wraps_to_64_bits():
 
 
 def test_path_seed_is_mix_of_xor():
-    assert path_seed(0xDEADBEEF, 7) == mix64(0xDEADBEEF ^ 7)
-    assert path_seed(0, 0) == mix64(0)
+    # draw contract 3: the master is mixed before the index is folded in
+    assert path_seed(0xDEADBEEF, 7) == mix64(mix64(0xDEADBEEF) ^ 7)
+    assert path_seed(0, 0) == mix64(mix64(0))
+
+
+def test_masters_differing_in_low_bits_give_disjoint_ensembles():
+    # contract 2's mix64(m ^ i) gave masters 1 and 7 one 400-path ensemble
+    sets = [{path_seed(m, i) for i in range(400)} for m in (0, 1, 7)]
+    assert all(len(s) == 400 for s in sets)
+    assert not sets[0] & sets[1] and not sets[0] & sets[2] and not sets[1] & sets[2]
+
+
+@pytest.mark.parametrize("master", [0, 1, 7, 2**40 + 3, MASK])
+def test_path_seeds_equal_path_seed_for_each_index(master):
+    for start, stop in ((0, 0), (0, 1), (0, 1000), (513, 2000), (2**63, 2**63 + 5)):
+        seeds = path_seeds(master, start, stop)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [path_seed(master, i) for i in range(start, stop)]
+    with pytest.raises(ValueError):
+        path_seeds(master, -1, 3)
 
 
 def test_path_seed_determinism_and_spread():

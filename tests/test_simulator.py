@@ -236,6 +236,47 @@ def test_band_settled_directions_match_the_phi_on_every_event_loop(field, law):
             assert_same_path(traj, full_block_walk(rf, up, down, horizon, seed, z0=0.25))
 
 
+def engine_paths(rf, up, down, horizon, seeds, z0):
+    """Each path's (times, z_after) as the lockstep engine yields them."""
+    parts = [([], []) for _ in seeds]
+    for rows, t, z, counts in simulator._batch_chunks(rf, up, down, horizon, seeds, z0):
+        assert counts.min() >= 1
+        for i, (p, c) in enumerate(zip(rows.tolist(), counts.tolist())):
+            parts[p][0].append(t[i, :c].copy())
+            parts[p][1].append(z[i, :c].copy())
+    return [tuple(np.concatenate(v) if v else np.array([]) for v in part) for part in parts]
+
+
+# horizon, first block size (None: the recipe's), _CHUNK, _BATCH
+ENGINE_BLOCKS = {
+    "whole-25": (1.0, None, None, None),
+    "whole-90": (30.0, None, None, None),
+    "cursors-138": (60.0, None, None, None),
+    "whole-8-then-cursors": (30.0, 8, None, None),
+    "groups-of-4": (30.0, 4, 4, 10),
+}
+
+
+@pytest.mark.parametrize("field", BAND_FIELDS)
+@pytest.mark.parametrize("law", range(len(LAWS)))
+@pytest.mark.parametrize("case", ENGINE_BLOCKS)
+def test_engine_blocks_match_simulate_walk(monkeypatch, field, law, case):
+    # first blocks of n <= _CHUNK events are drawn whole into rows, _CHUNK
+    # paths at a time; a path that outgrows one goes on with cursors
+    horizon, first, chunk, batch = ENGINE_BLOCKS[case]
+    for name, value in (("_first_block", first and (lambda h: first)), ("_CHUNK", chunk),
+                        ("_BATCH", batch)):
+        if value:
+            monkeypatch.setattr(simulator, name, value)
+    rf = RateField(BAND_FIELDS[field])
+    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
+    seeds = [path_seed(2**40 + 3, i) for i in range(40)]
+    got = engine_paths(rf, up, down, horizon, seeds, 0.25)
+    for seed, (times, z_after) in zip(seeds, got):
+        traj = simulate_walk(rf, up, down, horizon, seed, z0=0.25)
+        assert same_bits(times, traj.times) and same_bits(z_after, traj.z_after)
+
+
 @pytest.mark.parametrize("kappa", [0.2, 3.0])
 @pytest.mark.parametrize("law", range(len(LAWS)))
 def test_band_settled_occupancy_matches_the_phi_on_every_event_loop(kappa, law):
@@ -481,15 +522,25 @@ def scalar_report(times, marks, rate, tau):
 
 
 def scalar_path(rate, rate_bound, law, horizon, seed):
+    """Reference for draw recipe 3, one proposal at a time: blocks of n
+    waits, n uniforms and n marks (n = ``_first_block(rate_bound *
+    horizon)``, then 4096), proposal i at t + wait accepted iff it is
+    inside the horizon and u_i * rate_bound <= rate(t), with mark i."""
     rng = np.random.default_rng(seed)
     t, times, marks = 0.0, [], []
+    n = simulator._first_block(rate_bound * horizon)
     while True:
-        t += rng.exponential(1.0 / rate_bound)
-        if t > horizon:
-            return np.array(times), np.array(marks)
-        if rng.random() * rate_bound <= rate(t):
-            times.append(t)
-            marks.append(law.sample(rng))
+        waits = rng.exponential(1.0 / rate_bound, n).tolist()
+        us = rng.random(n).tolist()
+        ms = law.sample_block(rng, n).tolist()
+        for w, u, m in zip(waits, us, ms):
+            t += w
+            if t > horizon:
+                return np.array(times), np.array(marks)
+            if u * rate_bound <= rate(t):
+                times.append(t)
+                marks.append(m)
+        n = 4096
 
 
 def scalar_martingale(rate, law, tau, horizon, n_paths, seed):
@@ -559,6 +610,42 @@ def test_martingale_check_sub_batches_of_three(monkeypatch, law):
     args = (0.1, law, 7.5, MARTINGALE_HORIZON, 100, 5)
     chk, seen = run_martingale_check(monkeypatch, *args)
     assert_matches_scalar_loop(chk, seen, *args)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("tau", [7.5, MARTINGALE_HORIZON])
+@pytest.mark.parametrize("first,chunk", [(2, None), (None, 4), (2, 4)],
+                         ids=["first-block-2", "chunk-4", "both"])
+def test_martingale_check_groups_and_paths_drawn_again(monkeypatch, law, tau, first, chunk):
+    # a 2-proposal first block ends inside the horizon for most paths,
+    # which are then drawn again, whole; _CHUNK 4 draws rows 4 at a time
+    # and caps a sub-batch at 512 * 4 // n paths
+    if first:
+        monkeypatch.setattr(simulator, "_first_block", lambda h: first)
+    if chunk:
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    again = []
+    whole = simulator._compound_poisson
+    monkeypatch.setattr(simulator, "_compound_poisson", lambda *a: (again.append(1), whole(*a))[1])
+    args = (0.5, law, tau, MARTINGALE_HORIZON, 150, 2**40 + 9)
+    chk, seen = run_martingale_check(monkeypatch, *args)
+    assert_matches_scalar_loop(chk, seen, *args)
+    assert (len(again) > 20) == (first is not None)
+
+
+def test_martingale_check_memory_does_not_grow_with_rate_times_horizon():
+    # rate x horizon = 4096, so first blocks hold 4096 proposals and a
+    # sub-batch is 512 * 128 // 4096 = 16 paths: 1.5 MB of rows and the
+    # compensator of about 16 x 2048 events.  Uncapped 100-path rows and
+    # their compensator take about 40 MB, as the former scalar loop did.
+    tracemalloc.start()
+    try:
+        chk = martingale_check(1.0, ExponentialMean1(), 2048.0, 4096.0, 100, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.n_paths == 100
+    assert peak <= 12e6
 
 
 EDGE_MASTERS = [0, 2**64 - 1]
@@ -647,6 +734,21 @@ def test_compound_poisson_path_matches_the_scalar_loop(law, rate, bound):
         got = simulate_compound_poisson(rate, bound, law, 20.0, seed)
         want = scalar_path(rate, bound, law, 20.0, seed)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("rate,bound", VARIABLE_RATES, ids=["decaying", "rising"])
+def test_compound_poisson_blocks_after_the_first_match_the_scalar_loop(monkeypatch, law, rate,
+                                                                       bound):
+    # 2-proposal first blocks: every path goes on in blocks of 4096
+    monkeypatch.setattr(simulator, "_first_block", lambda h: 2)
+    events = 0
+    for seed in range(5):
+        got = simulate_compound_poisson(rate, bound, law, 20.0, seed)
+        want = scalar_path(rate, bound, law, 20.0, seed)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        events += got[0].size
+    assert events > 2 * 5
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0, 10.0, 1.0 / 3.0, 1.0 / 7.3, 1e-3])
