@@ -9,8 +9,9 @@ Two routes to a verdict:
    straddling [1 - margin, 1 + margin] is Inconclusive rather than a
    guess.
 
-2. Birth-death reductions: ``discretize_to_bd`` turns the late-time
-   rates into a nearest-neighbour chain by cell-averaging, after which
+2. Birth-death reductions: ``discretize_to_bd`` turns the rates at
+   the parabolic time t = max(x^2, 1) into a nearest-neighbour chain by
+   cell-averaging, after which
    ``ratio_test`` (compare lambda*/mu* against 1 + 1/n) and
    ``bd_series_criterion`` (convergence of the escape series
    sum_n prod_k mu*_k/lambda*_k) classify the chain directly.
@@ -245,12 +246,17 @@ def discretize_to_bd(
     n_max: int,
     quadrature_points: int = 8,
 ) -> BDChain:
-    """Average the late-time rates over unit cells [n-1, n].
+    """Average the rates at parabolic time over unit cells [n-1, n].
 
-    Site n carries lambda*_n = cell average of the limit up-rate over
-    [n-1, n] (composite midpoint rule with ``quadrature_points``
-    subcells) and likewise mu*_n.  The chain keeps a callable that
-    extends the same averages to sites outside [n_min, n_max].
+    Site n carries lambda*_n = cell average of the up-rate over [n-1, n]
+    (composite midpoint rule with ``quadrature_points`` subcells) and
+    likewise mu*_n.  Each quadrature node x is read at t = max(x^2, 1),
+    the time by which a diffusive walk typically reaches height x, as in
+    the time-inhomogeneous birth-death criterion; the clamp keeps
+    families that diverge at t = 0 finite near the origin.  Fields that
+    do not depend on t give the same chain at any time.  The chain keeps
+    a callable that extends the same averages to sites outside
+    [n_min, n_max].
     """
     if n_min >= n_max:
         raise ValueError("n_min must be strictly below n_max")
@@ -267,7 +273,7 @@ def discretize_to_bd(
         for lo in range(0, ns.size, _CELL_ROWS):
             hi = lo + _CELL_ROWS
             xs = (ns[lo:hi, None] - 1.0) + offsets[None, :]
-            lam_x, mu_x = rf.limit_rates(xs)
+            lam_x, mu_x = rf.rates(xs, np.maximum(xs * xs, 1.0))
             np.asarray(lam_x).mean(axis=1, out=lam[lo:hi])
             np.asarray(mu_x).mean(axis=1, out=mu[lo:hi])
         return lam, mu

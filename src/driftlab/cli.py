@@ -56,6 +56,7 @@ from .experiments import (
 from . import fields
 from .fields import DriftField, JumpLaw, RateField
 from .simulator import (
+    _csv,
     martingale_check,
     simulate_walk,
     trajectory_csv,
@@ -70,7 +71,6 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
-_CSV_ROWS = 4096  # rows per block of the bd-oracle csv
 
 
 class _Sect:
@@ -154,7 +154,6 @@ class RunConfig:
     strict: bool
     workers: int
     field: DriftField
-    t_proxy: float
     up_law: JumpLaw
     down_law: JumpLaw
     output_path: Optional[str]
@@ -347,11 +346,7 @@ def _validate(raw: Any) -> RunConfig:
     strict = top.take("strict", "bool", default=False)
     workers = top.take("workers", "int", default=0, lo=0)
 
-    fsect = top.sub("field")
-    t_proxy = fsect.take("t_proxy", "float", default=1e8)
-    if t_proxy <= 0:
-        raise ConfigError("field.t_proxy: must be positive")
-    field = _build(fsect, _FIELD_FAMILIES, "zero")
+    field = _build(top.sub("field"), _FIELD_FAMILIES, "zero")
 
     jsect = top.sub("jumps")
     up_law = _build(jsect.sub("up"), _JUMP_LAWS, "constant1")
@@ -378,7 +373,7 @@ def _validate(raw: Any) -> RunConfig:
         "seed": seed,
         "strict": strict,
         "workers": workers,
-        "field": {**_mapping(field, _FIELD_FAMILIES), "t_proxy": t_proxy},
+        "field": _mapping(field, _FIELD_FAMILIES),
         "jumps": {"up": _mapping(up_law, _JUMP_LAWS), "down": _mapping(down_law, _JUMP_LAWS)},
         "output": {"path": out_path, "format": fmt},
         command: dict(params),
@@ -389,7 +384,6 @@ def _validate(raw: Any) -> RunConfig:
         strict=strict,
         workers=workers,
         field=field,
-        t_proxy=t_proxy,
         up_law=up_law,
         down_law=down_law,
         output_path=out_path,
@@ -473,7 +467,7 @@ def _cmd_classify(rc: RunConfig) -> tuple[int, Optional[str], str]:
 
 def _cmd_simulate(rc: RunConfig) -> tuple[int, Optional[str], str]:
     p = rc.params
-    rf = RateField(rc.field, rc.t_proxy)
+    rf = RateField(rc.field)
     traj = simulate_walk(rf, rc.up_law, rc.down_law, p["horizon"], rc.seed, p["z0"])
     if rc.output_format == "csv":
         payload: Optional[str] = trajectory_csv(traj)
@@ -501,7 +495,7 @@ def _cmd_bd_oracle(rc: RunConfig) -> tuple[int, Optional[str], str]:
         chain = ratio_family_chain(p["c"], p["n_min"], p["n_max"])
     else:
         chain = discretize_to_bd(
-            RateField(rc.field, rc.t_proxy), p["n_min"], p["n_max"], p["quadrature_points"]
+            RateField(rc.field), p["n_min"], p["n_max"], p["quadrature_points"]
         )
 
     wanted = ("ratio", "series") if p["criterion"] == "both" else (p["criterion"],)
@@ -516,14 +510,11 @@ def _cmd_bd_oracle(rc: RunConfig) -> tuple[int, Optional[str], str]:
         results[crit] = {**cls.to_record(), "evidence": cls.evidence}
 
     if rc.output_format == "csv":
-        # rendered _CSV_ROWS rows at a time from plain floats, as
-        # trajectory_csv renders a path
-        blocks = ["n,lambda_star,mu_star\n"]
-        for lo in range(0, chain.n_max - chain.n_min + 1, _CSV_ROWS):
-            ns = range(chain.n_min + lo, min(chain.n_min + lo + _CSV_ROWS, chain.n_max + 1))
-            lam, mu = (v[lo : lo + len(ns)].tolist() for v in (chain.lam, chain.mu))
-            blocks.append("".join([f"{n},{a!r},{b!r}\n" for n, a, b in zip(ns, lam, mu)]))
-        payload: Optional[str] = "".join(blocks)
+        payload: Optional[str] = _csv(
+            "n,lambda_star,mu_star\n",
+            lambda n, a, b: f"{n},{a!r},{b!r}\n",
+            (chain.sites, chain.lam, chain.mu),
+        )
     else:
         payload = _record_json(rc, {"chain_window": [chain.n_min, chain.n_max], **results})
 
@@ -536,7 +527,7 @@ def _cmd_bd_oracle(rc: RunConfig) -> tuple[int, Optional[str], str]:
 def _cmd_experiment(rc: RunConfig) -> tuple[int, Optional[str], str]:
     p = rc.params
     exp = RecurrenceExperiment(
-        rate_field=RateField(rc.field, rc.t_proxy),
+        rate_field=RateField(rc.field),
         up_law=rc.up_law,
         down_law=rc.down_law,
         n_paths=p["n_paths"],
@@ -584,7 +575,7 @@ def _check_martingale(rc: RunConfig) -> tuple[int, Optional[str], str]:
 def _check_wald(rc: RunConfig) -> tuple[int, Optional[str], str]:
     p = rc.params
     chk = wald_second_moment_check(
-        RateField(rc.field, rc.t_proxy),
+        RateField(rc.field),
         rc.up_law,
         rc.down_law,
         p["sigma"],
@@ -603,7 +594,7 @@ def _check_wald(rc: RunConfig) -> tuple[int, Optional[str], str]:
 
 def _check_balance(rc: RunConfig) -> tuple[int, Optional[str], str]:
     p = rc.params
-    rf = RateField(rc.field, rc.t_proxy)
+    rf = RateField(rc.field)
     w = (p["window_min"], p["window_max"])
     occ = estimate_occupancy(rf, rc.up_law, rc.down_law, p["total_time"], w, rc.seed)
     chain = discretize_to_bd(rf, w[0] - 1, w[1] + 1, p["quadrature_points"])

@@ -26,7 +26,7 @@ import numpy as np
 from .classifier import BDChain
 from .fields import JumpLaw, RateField
 from .seeding import check_seed, path_seeds
-from .simulator import _batch_chunks, _event_blocks
+from .simulator import _batch_chunks, _csv, _event_blocks
 
 __all__ = [
     "PathOutcome",
@@ -229,13 +229,14 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
 
 def experiment_csv(report: ExperimentReport) -> str:
     """One row per path: path,seed,reached_L,first_hit_time,returned,final_z."""
-    lines = ["path,seed,reached_L,first_hit_time,returned,final_z"]
-    for o in report.paths:
-        lines.append(
+    return _csv(
+        "path,seed,reached_L,first_hit_time,returned,final_z\n",
+        lambda o: (
             f"{o.path},{o.seed},{int(o.reached_level)},{o.first_hit_time!r},"
-            f"{int(o.returned)},{o.final_z!r}"
-        )
-    return "\n".join(lines) + "\n"
+            f"{int(o.returned)},{o.final_z!r}\n"
+        ),
+        (np.array(report.paths, dtype=object),),  # one column of PathOutcomes
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,10 @@ classifier refuses.
 Space is regularized near the origin: fields evaluate at
 max(|x|, x_floor) and extend to x < 0 through |x|, which keeps the
 1/x-type families bounded without changing their tails.
+
+No time is fixed here: the event loops read a field at each event's
+time, and the classifier's birth-death chain reads it where the walk
+typically is, at the parabolic time t = max(x^2, 1).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 __all__ = [
     "PHI_MAX",
     "DEFAULT_X_FLOOR",
-    "DEFAULT_T_PROXY",
     "DriftField",
     "Zero",
     "CriticalLamperti",
@@ -47,7 +50,6 @@ __all__ = [
 
 PHI_MAX = 0.5
 DEFAULT_X_FLOOR = 1.0
-DEFAULT_T_PROXY = 1e8
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -418,19 +420,10 @@ class Tabulated(DriftField):
 
 @dataclass(frozen=True)
 class RateField:
-    """Pairs a drift field with the jump-rate map and a late-time proxy.
-
-    ``limit_rates`` evaluates at t = t_proxy, a stand-in for the
-    t -> infinity rates used when a time-homogeneous chain is read off
-    the field.
-    """
+    """Pairs a drift field with the jump-rate map
+    lambda = 1/2 + phi, mu = 1 - lambda."""
 
     drift: DriftField
-    t_proxy: float = DEFAULT_T_PROXY
-
-    def __post_init__(self) -> None:
-        if self.t_proxy <= 0:
-            raise ValueError("t_proxy must be positive")
 
     def rates(self, x: ArrayLike, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         p = self.drift.phi(x, t)
@@ -438,19 +431,11 @@ class RateField:
         mu = 1.0 - lam
         return _as_result(lam), _as_result(np.array(mu))
 
-    def limit_rates(self, x: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        return self.rates(x, self.t_proxy)
-
 
 class JumpLaw:
     """Positive jump sizes with mean exactly 1 and finite variance."""
 
     variance: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """One mark; the same value and generator state as the first of
-        ``sample_block(rng, 1)``.  Laws override it to skip the array."""
-        return float(self.sample_block(rng, 1)[0])
 
     def sample_block(
         self, rng: np.random.Generator, n: int, out: np.ndarray | None = None
@@ -469,9 +454,6 @@ class Constant1(JumpLaw):
 
     variance = 0.0
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return 1.0
-
     def sample_block(self, rng, n, out=None):
         if out is None:
             return np.ones(n)
@@ -482,9 +464,6 @@ class Constant1(JumpLaw):
 @dataclass(frozen=True)
 class ExponentialMean1(JumpLaw):
     variance = 1.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return rng.standard_exponential()
 
     def sample_block(self, rng, n, out=None):
         return rng.standard_exponential(n) if out is None else rng.standard_exponential(out=out)
@@ -506,9 +485,6 @@ class GammaMean1(JumpLaw):
 
     # numpy's gamma(k, scale) is scale * standard_gamma(k); calling the
     # standard form skips its argument checks and gives the same values.
-    def sample(self, rng: np.random.Generator) -> float:
-        return rng.standard_gamma(self.k) * (1.0 / self.k)
-
     def sample_block(self, rng, n, out=None):
         v = rng.standard_gamma(self.k, n) if out is None else rng.standard_gamma(self.k, out=out)
         return np.multiply(v, 1.0 / self.k, out=v)
@@ -527,9 +503,6 @@ class UniformMean1(JumpLaw):
     @property
     def variance(self) -> float:  # type: ignore[override]
         return self.d * self.d / 3.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return rng.uniform(1.0 - self.d, 1.0 + self.d)
 
     # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), one rounding
     # per operation, so the in-place form gives the same values.

@@ -192,11 +192,16 @@ class TestDiscretize:
             discretize_to_bd(cl_rates(1.0), 2, 10, quadrature_points=0)
 
 
-def one_shot_cell_rates(rf, ns, quadrature_points):
-    """Reference: the whole (sites x quadrature) grid in one evaluation."""
+def parabolic_time(xs):
+    return np.maximum(xs * xs, 1.0)
+
+
+def one_shot_cell_rates(rf, ns, quadrature_points, time=parabolic_time):
+    """Reference: the whole (sites x quadrature) grid in one evaluation,
+    each node x read at ``time(x)``."""
     offsets = (np.arange(quadrature_points) + 0.5) / quadrature_points
     xs = (np.asarray(ns, float)[:, None] - 1.0) + offsets[None, :]
-    lam_x, mu_x = rf.limit_rates(xs)
+    lam_x, mu_x = rf.rates(xs, time(xs))
     return np.asarray(lam_x).mean(axis=1), np.asarray(mu_x).mean(axis=1)
 
 
@@ -224,6 +229,48 @@ def test_row_blocked_cell_rates_match_the_one_shot_grid(field, sites, q):
     lam, mu = one_shot_cell_rates(rf, ns, q)
     got_lam, got_mu = ch.extend(ns)
     assert same_bits(got_lam, lam) and same_bits(got_mu, mu)
+
+
+TIME_FREE_FIELDS = [
+    Zero(),
+    CriticalLamperti(c=1.0),
+    MeanReverting(kappa=0.3),
+    PowerLaw(rho=0.1, alpha=-0.5, beta=0.0),
+]
+
+
+@pytest.mark.parametrize("field", TIME_FREE_FIELDS, ids=lambda f: type(f).__name__)
+def test_time_free_fields_give_the_fixed_time_chain(field):
+    # parabolic time moves no chain of a field that ignores t: window and
+    # extension equal one grid read at the fixed time 1e8, bit for bit,
+    # on both sides of the origin and across a block boundary
+    rf = RateField(field)
+    ch = discretize_to_bd(rf, -40, 5000)
+    lam, mu = one_shot_cell_rates(rf, ch.sites, 8, time=lambda xs: 1e8)
+    assert same_bits(ch.lam, lam) and same_bits(ch.mu, mu)
+    ns = np.arange(5001, 9200)
+    lam, mu = one_shot_cell_rates(rf, ns, 8, time=lambda xs: 1e8)
+    got_lam, got_mu = ch.extend(ns)
+    assert same_bits(got_lam, lam) and same_bits(got_mu, mu)
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.75])
+@pytest.mark.parametrize("rho", [0.05, 0.1, 0.2, 0.3125, 0.5, 1.0])
+def test_parabolic_chain_agrees_with_the_mv_closed_form(rho, beta):
+    # phi = rho x^(2 beta - 1) / t^beta read at t = x^2 is rho / x, so both
+    # chain criteria must give the closed form's verdict (4 rho against 1)
+    # in every window: n_max 1e4, n_max 1e6, and 1e4 with the series tail
+    # run to 1e6 (the ratio test reads the window only)
+    want = classify_mv_critical(rho, beta).verdict
+    rf = RateField(PowerLaw(rho=rho, alpha=2.0 * beta - 1.0, beta=beta))
+    short = discretize_to_bd(rf, 10, 10**4)
+    long = discretize_to_bd(rf, 10, 10**6)
+    windows = [(short, 0), (long, 0), (short, 10**6 - 10**4)]
+    got = [
+        (ratio_test(ch, 10).verdict, bd_series_criterion(ch, 10, tail_extension=ext).verdict)
+        for ch, ext in windows
+    ]
+    assert got == [(want, want)] * 3
 
 
 def test_series_tail_memory_is_bounded():

@@ -311,6 +311,8 @@ class TestMainErrors:
             ("jumps: {up: {family: gamma_mean1}}\n", "jumps.up.k: required key missing"),
             ("jumps: {down: {family: uniform_mean1, d: wide}}\n", "jumps.down.d: expected a number"),
             ("jumps: {down: {family: exponential_mean1, k: 2.0}}\n", "jumps.down: unknown key(s): k"),
+            # the chain reads phi at parabolic time; no key fixes its time
+            ("field: {family: zero, t_proxy: 1.0e+8}\n", "field: unknown key(s): t_proxy"),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
              "values: [[0.1, 0.1], [0.1]]}\n", "field.values: "),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
@@ -320,7 +322,7 @@ class TestMainErrors:
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [[0.0], [1.0, 2.0]], "
              "values: [[0.1, 0.1], [0.1, 0.1]]}\n", "field.t_grid: "),
         ],
-        ids=["field.rho", "jumps.up.k", "jumps.down.d", "jumps.down", "ragged",
+        ids=["field.rho", "jumps.up.k", "jumps.down.d", "jumps.down", "t_proxy", "ragged",
              "non-numeric", "non-numeric-x_grid", "ragged-t_grid"],
     )
     def test_family_parameter_errors_name_their_path(self, tmp_path, capsys, text, message):
@@ -546,6 +548,17 @@ class TestMainBdOracle:
         )
         assert main([cfg]) == 2
         assert "non-positive at cell" in capsys.readouterr().err
+
+    def test_window_clipped_at_parabolic_time_is_a_config_error(self, tmp_path, capsys):
+        # phi(x, x^2) = 1/x sits on the clip 1/2 over all of the cell [1, 2]
+        cfg = write(
+            tmp_path,
+            "command: bd-oracle\n"
+            "field: {family: power_law, rho: 1.0, alpha: 0.5, beta: 0.75}\n"
+            "bd-oracle: {n_min: 2, n_max: 100, criterion: ratio}\n",
+        )
+        assert main([cfg]) == 2
+        assert "non-positive at cell n=2" in capsys.readouterr().err
 
 
 class TestMainCheck:

@@ -3,23 +3,35 @@ import re
 
 import pytest
 
+from driftlab.cli import parse_config
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def python_blocks():
-    """The body of every ```python fence in README.md, named by its line."""
+def fenced_blocks(lang):
+    """The body of every ```lang fence in README.md, named by its line."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
     return [
         pytest.param(m.group(1), id=f"line{text.count(chr(10), 0, m.start()) + 1}")
-        for m in re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S)
+        for m in re.finditer(rf"^```{lang}\n(.*?)^```", text, re.M | re.S)
     ]
 
 
 def test_readme_has_a_python_example():
-    assert python_blocks()
+    assert fenced_blocks("python")
 
 
-@pytest.mark.parametrize("block", python_blocks())
+def test_readme_has_a_yaml_example():
+    assert fenced_blocks("yaml")
+
+
+@pytest.mark.parametrize("block", fenced_blocks("python"))
 def test_python_block_runs(block):
     exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("block", fenced_blocks("yaml"))
+def test_yaml_block_parses(block):
+    # a config example that uses a removed or misspelt key fails here
+    parse_config(block)
