@@ -93,6 +93,8 @@ class RecurrenceExperiment:
             raise ValueError("n_paths must be at least 1")
         if not 0.0 <= self.horizon < math.inf:
             raise ValueError("horizon must be nonnegative and finite")
+        if not math.isfinite(self.z0):
+            raise ValueError("z0 must be finite")
         if not self.level > self.band > 0:
             raise ValueError("need level > band > 0")
         if self.workers < 0:
@@ -285,6 +287,8 @@ def estimate_occupancy(
         raise ValueError("window must satisfy n_min <= n_max")
     if not 0.0 <= total_time < math.inf:
         raise ValueError("total_time must be nonnegative and finite")
+    if not math.isfinite(z0):
+        raise ValueError("z0 must be finite")
     if not rf.drift.signed:
         raise ValueError("occupancy estimation needs a signed mean-reverting drift")
     check_seed(seed)

@@ -28,13 +28,18 @@ marks) and its k down marks.  The values used are the full recipe's.
 
 Two engines read the recipe.  ``_event_blocks`` runs one path with the
 scalar ``scalar_phi`` closure; single-path commands and occupancy use
-it.  It calls the closure only where the field
-can change a direction: with m = ``drift.phi_bound(t)`` at the block's
-start time t, a uniform u < 0.5 - m is an up-step and u >= 0.5 + m a
-down-step whatever phi is, because |phi| <= m from t on and rounding is
-monotone (fl(0.5 - m) <= fl(0.5 + phi) <= fl(0.5 + m)); only the
-uniforms in between are compared with 0.5 + phi(z, t), so the path is
-the phi-on-every-event loop's bit for bit.
+it.  With m = ``drift.phi_bound(t)`` at the block's start time t, a
+uniform u < 0.5 - m is an up-step and u >= 0.5 + m a down-step whatever
+phi is, because |phi| <= m from t on and rounding is monotone
+(fl(0.5 - m) <= fl(0.5 + phi) <= fl(0.5 + m)).  So one vector pass sets
+every direction as if phi were 0 (u < 0.5), and a Python loop visits
+only the open events, u in [0.5 - m, 0.5 + m): at each it takes the
+state as the left fold z + j_p + ... + j_(i-1) of the settled stretch
+since the last open event, compares u with 0.5 + phi(z, t) and writes
+the decided jump back.  A field with m = 0 (``Zero``) has no open
+event and never calls the closure.  One cumsum seeded with the carried
+z then gives z_after, which is the same left fold, so the path is the
+phi-on-every-event loop's bit for bit.
 
 ``_batch_chunks`` runs an ensemble in lockstep, one event of every live
 path per step, with the vectorized ``phi`` evaluated across paths; the
@@ -103,6 +108,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -162,6 +169,8 @@ def simulate_walk(
     """Simulate one path on (0, horizon] starting from z0 at time 0."""
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be nonnegative and finite")
+    if not math.isfinite(z0):
+        raise ValueError("z0 must be finite")
     check_seed(seed)
     blocks = list(_event_blocks(rf, up_law, down_law, horizon, np.random.default_rng(seed), z0))
     if blocks:
@@ -210,7 +219,7 @@ def _event_blocks(
     if horizon <= 0.0:
         return
     drift = rf.drift
-    phi = None if isinstance(drift, Zero) else drift.scalar_phi()
+    phi = drift.scalar_phi()
     t = 0.0
     z = z0
     n = _first_block(horizon)
@@ -225,30 +234,33 @@ def _event_blocks(
             rng.bit_generator.advance(n - k)
         ups = up_law.sample_block(rng, n)[:k]
         dns = down_law.sample_block(rng, k)
-        if phi is None:
-            # phi == 0: the direction split never looks at the state, so
-            # the block vectorizes; the carried cumsum is the left fold.
-            sj = np.where(us < 0.5, ups, -dns)
-            zb = np.cumsum(np.concatenate(((z,), sj)))[1:]
-        else:
-            # |phi| <= m from the block's start on, so a uniform outside
-            # [0.5 - m, 0.5 + m) settles the direction without phi
-            m = drift.phi_bound(t)
-            lo, hi = 0.5 - m, 0.5 + m
-            jumps: list[float] = []
-            zs: list[float] = []
-            j_app, z_app = jumps.append, zs.append
-            for tn, u, up, dn in zip(tb.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
-                if u < lo:
-                    j = up
-                elif u >= hi:
-                    j = -dn
-                else:
-                    j = up if u < 0.5 + phi(z, tn) else -dn
-                z += j
-                j_app(j)
-                z_app(z)
-            sj, zb = np.array(jumps), np.array(zs)
+        # |phi| <= m from the block's start on, so a uniform outside
+        # [0.5 - m, 0.5 + m) settles the direction without phi; only the
+        # open events in between run in Python
+        sj = np.where(us < 0.5, ups, -dns)
+        m = drift.phi_bound(t)
+        open_ = np.flatnonzero((us >= 0.5 - m) & (us < 0.5 + m))
+        if open_.size:
+            js = sj.tolist()
+            decided: list[float] = []
+            zo, p = z, 0
+            for i, tn, u, up, dn in zip(
+                open_.tolist(),
+                tb[open_].tolist(),
+                us[open_].tolist(),
+                ups[open_].tolist(),
+                dns[open_].tolist(),
+            ):
+                if p < i:
+                    # the state after the settled stretch, as a left fold
+                    zo = reduce(add, js[p:i], zo)
+                j = up if u < 0.5 + phi(zo, tn) else -dn
+                decided.append(j)
+                zo += j
+                p = i + 1
+            sj[open_] = decided
+        # seeding the cumsum with the carried z makes it the left fold
+        zb = np.cumsum(np.concatenate(((z,), sj)))[1:]
         t = float(tb[-1])
         z = float(zb[-1])
         yield tb, sj, zb
@@ -851,6 +863,8 @@ def wald_second_moment_check(
     """
     if not 0.0 <= sigma < math.inf:  # written so that NaN fails too
         raise ValueError("sigma must be nonnegative and finite")
+    if not math.isfinite(z0):
+        raise ValueError("z0 must be finite")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     check_seed(seed)

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 from driftlab.fields import (
     Constant1,
     CriticalLamperti,
+    DriftField,
     ExponentialMean1,
     GammaMean1,
     MeanReverting,
@@ -198,9 +200,29 @@ def test_first_block_size(horizon, n):
     assert simulator._first_block(horizon) == n
 
 
+class MantissaParity(DriftField):
+    """phi = +1/4 where the last bit of x is set, else -1/4: a direction
+    in the band depends on every bit of the state, so a state summed in
+    any order but the left fold shows."""
+
+    signed = True
+    x_floor = 1.0
+
+    def phi(self, x, t):
+        v = np.where(np.asarray(x, float).view(np.int64) & 1, 0.25, -0.25) + np.zeros(np.shape(t))
+        return v if v.ndim else float(v)
+
+    def scalar_phi(self):
+        return lambda x, t: 0.25 if struct.unpack("<q", struct.pack("<d", x))[0] & 1 else -0.25
+
+    def phi_bound(self, t):
+        return 0.25
+
+
 # every family, with the bands of the event loop at their edges: no band
 # (zero), a narrow one, the full [0, 1) (alpha > 0, clipped c and kappa, a
-# table above 1/2) and one that narrows with t (power law)
+# table above 1/2) and one that narrows with t (power law); and a test
+# field that reads every bit of the state
 BAND_FIELDS = {
     "zero": Zero(),
     "lamperti": CriticalLamperti(c=0.5),
@@ -218,9 +240,13 @@ BAND_FIELDS = {
     "tabulated_above_half": Tabulated(
         x_grid=[0.0, 3.0], t_grid=[0.0, 50.0], values=[[0.7, 0.6], [0.2, 0.1]]
     ),
+    "mantissa_parity": MantissaParity(),
 }
 BAND_SEEDS = [0, 1, 2**40 + 3, 2**64 - 1]
 BAND_HORIZONS = [30.0, 5e3]
+# edge starts: a signed zero, and a height where a unit step rounds
+# away, so that only the left fold of the jumps gives the reference's bits
+BAND_Z0S = [0.25, -0.0, 1e17]
 
 
 @pytest.mark.parametrize("field", BAND_FIELDS)
@@ -232,8 +258,9 @@ def test_band_settled_directions_match_the_phi_on_every_event_loop(field, law):
     up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
     for seed in BAND_SEEDS:
         for horizon in BAND_HORIZONS:
-            traj = simulate_walk(rf, up, down, horizon, seed, z0=0.25)
-            assert_same_path(traj, full_block_walk(rf, up, down, horizon, seed, z0=0.25))
+            for z0 in BAND_Z0S:
+                traj = simulate_walk(rf, up, down, horizon, seed, z0=z0)
+                assert_same_path(traj, full_block_walk(rf, up, down, horizon, seed, z0=z0))
 
 
 def engine_paths(rf, up, down, horizon, seeds, z0):
@@ -285,39 +312,89 @@ def test_band_settled_occupancy_matches_the_phi_on_every_event_loop(kappa, law):
     n_min, n_max = -12, 12
     for seed in BAND_SEEDS:
         for horizon in BAND_HORIZONS:
-            occ = estimate_occupancy(rf, up, down, horizon, (n_min, n_max), seed, z0=0.25)
-            times, _jumps, zs = full_block_walk(rf, up, down, horizon, seed, z0=0.25)
-            starts = np.concatenate(([0.0], times))
-            ends = np.concatenate((times, [horizon]))
-            cells = np.floor(np.concatenate(([0.25], zs))).astype(np.int64) + 1
-            acc = np.zeros(n_max - n_min + 1)
-            inside = (cells >= n_min) & (cells <= n_max)
-            np.add.at(acc, cells[inside] - n_min, (ends - starts)[inside])
-            assert same_bits(occ.p_star, acc / horizon)
+            for z0 in BAND_Z0S:
+                occ = estimate_occupancy(rf, up, down, horizon, (n_min, n_max), seed, z0=z0)
+                times, _jumps, zs = full_block_walk(rf, up, down, horizon, seed, z0=z0)
+                starts = np.concatenate(([0.0], times))
+                ends = np.concatenate((times, [horizon]))
+                cells = np.floor(np.concatenate(([z0], zs))).astype(np.int64) + 1
+                acc = np.zeros(n_max - n_min + 1)
+                inside = (cells >= n_min) & (cells <= n_max)
+                np.add.at(acc, cells[inside] - n_min, (ends - starts)[inside])
+                assert same_bits(occ.p_star, acc / horizon)
 
 
-def test_balance_path_calls_phi_on_few_events():
-    # kappa = 0.2 bounds |phi| by 0.05, so only uniforms in [0.45, 0.55)
-    # need phi: about 10% of the events
-    calls = 0
+def counting(field_type, **params):
+    """``field_type(**params)`` with a ``scalar_phi`` closure that counts
+    its calls in the returned list's one entry."""
+    calls = [0]
 
-    class Counting(MeanReverting):
+    class Counting(field_type):
         def scalar_phi(self):
             f = super().scalar_phi()
 
             def counted(x, t):
-                nonlocal calls
-                calls += 1
+                calls[0] += 1
                 return f(x, t)
 
             return counted
 
+    return Counting(**params), calls
+
+
+def band_uniforms(drift, horizon, seed):
+    """Unit-mark events whose direction uniform lies in its block's band
+    [0.5 - m, 0.5 + m), m = ``drift.phi_bound`` at the block's start."""
+    rng = np.random.default_rng(seed)
+    t, n, count = 0.0, simulator._first_block(horizon), 0
+    while True:
+        times = np.cumsum(np.concatenate(([t], rng.exponential(1.0, n))))[1:]
+        k = int(np.searchsorted(times, horizon, side="right"))
+        us = rng.random(n)[:k]
+        m = drift.phi_bound(t)
+        count += int(np.count_nonzero((us >= 0.5 - m) & (us < 0.5 + m)))
+        if k < n:
+            return count
+        t, n = float(times[-1]), 4096
+
+
+def test_balance_path_calls_phi_on_few_events():
+    # kappa = 0.2 bounds |phi| by 0.05, so only uniforms in [0.45, 0.55)
+    # need phi: about 10% of the events, each exactly once
+    drift, calls = counting(MeanReverting, kappa=0.2)
     args = (Constant1(), Constant1(), 2e4, (-50, 50), 31)
-    occ = estimate_occupancy(RateField(Counting(kappa=0.2)), *args)
+    occ = estimate_occupancy(RateField(drift), *args)
     plain = estimate_occupancy(RateField(MeanReverting(kappa=0.2)), *args)
     events = simulate_walk(RateField(MeanReverting(kappa=0.2)), Constant1(), Constant1(), 2e4, 31).n_events
     assert same_bits(occ.p_star, plain.p_star)
-    assert 0 < calls <= 0.15 * events
+    assert 0 < calls[0] == band_uniforms(drift, 2e4, 31) <= 0.15 * events
+    # phi_bound = 0 leaves no band, so a zero field never calls phi
+    zero, zero_calls = counting(Zero)
+    traj = simulate_walk(RateField(zero), Constant1(), Constant1(), 2e4, 31)
+    assert_same_path(traj, full_block_walk(ZERO, Constant1(), Constant1(), 2e4, 31))
+    assert zero_calls[0] == 0
+
+
+@pytest.mark.parametrize("z0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["simulate_walk", "estimate_occupancy", "experiment", "wald"])
+def test_non_finite_z0_rejected(entry, z0):
+    # a NaN or infinite start used to give an all-NaN or all-inf result
+    rf = RateField(MeanReverting(kappa=0.2))
+    calls = {
+        "simulate_walk": lambda: simulate_walk(rf, Constant1(), Constant1(), 10.0, 3, z0=z0),
+        "estimate_occupancy": lambda: estimate_occupancy(
+            rf, Constant1(), Constant1(), 10.0, (-5, 5), 3, z0=z0
+        ),
+        "experiment": lambda: RecurrenceExperiment(
+            rf, Constant1(), Constant1(), n_paths=4, horizon=10.0, level=4.0, band=1.0,
+            seed=3, z0=z0,
+        ),
+        "wald": lambda: wald_second_moment_check(
+            rf, Constant1(), Constant1(), sigma=1.0, n_paths=100, seed=3, z0=z0
+        ),
+    }
+    with pytest.raises(ValueError, match="z0 must be finite"):
+        calls[entry]()
 
 
 def test_thinning_up_counts_are_poisson_half_rate():
