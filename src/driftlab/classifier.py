@@ -59,7 +59,11 @@ _INCREMENT_FLOOR = 0.1
 _BLOWUP_TERM = 1e8
 _BLOWUP_SUM = 1e15
 
-_CELL_ROWS = 4096  # sites per block of discretize_to_bd's quadrature grid
+# Sites per block of discretize_to_bd's quadrature grid.  At 8 nodes a
+# block's temporaries are 64 kB each.  At 4096 sites (256 kB each) malloc
+# handed them back to the OS after every block: the 1e6-site series tail
+# took 35,000 page faults and 0.20 s, against 3,800 and 0.16 s here.
+_CELL_ROWS = 1024
 
 
 class Verdict(str, enum.Enum):
@@ -229,6 +233,8 @@ class BDChain:
             return self.lam[idx], self.mu[idx]
         if self.extend is None:
             raise ValueError("chain has no analytic extension beyond its window")
+        if not inside.any():
+            return self.extend(ns)
         lam = np.empty(ns.shape)
         mu = np.empty(ns.shape)
         idx = ns[inside] - self.n_min
@@ -411,36 +417,59 @@ def bd_series_criterion(chain: BDChain, n0: int, tail_extension: int = 0) -> Cla
     total = n_end - n0 + 1
     ckpt_lengths = _series_checkpoints(total)
 
-    block = 1 << 17
+    # The terms are read in blocks of 2**17 sites: a block's logs are
+    # log_carry + cumsum(log mu - log lam) and its partial sums s_total +
+    # cumsum(terms), with both carries taken from the block before.  A
+    # block is evaluated in pieces of at most 2**14 sites in two reused
+    # buffers.  Each piece's first term gets the previous piece's last
+    # within-block partial sum added, and numpy's 1-d cumsum is a
+    # sequential left fold, so the pieces give the whole block's sums bit
+    # for bit.
+    block, piece = 1 << 17, 1 << 14
+    logs_buf, sums_buf = np.empty((2, min(piece, total)))
     log_carry = 0.0
     s_total = 0.0
     ckpts: list[tuple[int, float, float]] = []  # (site n, S, term)
     next_i = 0
     blew_up = False
+    last_term = 0.0
 
     done = 0
     while done < total and not blew_up:
         m = min(block, total - done)
-        ns = np.arange(n0 + done, n0 + done + m)
-        lam, mu = chain.rates_at(ns)
-        # mu* can be exactly 0 where phi sits on the clip boundary; the
-        # log then carries -inf and every later term is a clean 0.
-        with np.errstate(divide="ignore"):
-            logs = log_carry + np.cumsum(np.log(mu) - np.log(lam))
-        log_carry = float(logs[-1])
-        with np.errstate(under="ignore", over="ignore"):
-            terms = np.exp(logs)
-        csum = s_total + np.cumsum(terms)
+        # the block's partial sums so far; -0.0 is the additive identity,
+        # x + -0.0 being x for every x, -0.0 included
+        part_log = part_sum = -0.0
+        for lo in range(done, done + m, piece):
+            k = min(piece, done + m - lo)
+            lam, mu = chain.rates_at(np.arange(n0 + lo, n0 + lo + k))
+            logs, csum = logs_buf[:k], sums_buf[:k]
+            # mu* can be exactly 0 where phi sits on the clip boundary; the
+            # log then carries -inf and every later term is a clean 0.
+            with np.errstate(divide="ignore"):
+                np.log(mu, out=logs)
+                np.subtract(logs, np.log(lam, out=csum), out=logs)
+                logs[0] += part_log
+                np.cumsum(logs, out=logs)
+            part_log = float(logs[-1])
+            logs += log_carry
+            with np.errstate(under="ignore", over="ignore"):
+                terms = np.exp(logs, out=logs)
+            csum[:] = terms
+            csum[0] += part_sum
+            np.cumsum(csum, out=csum)
+            part_sum = float(csum[-1])
+            csum += s_total
+            while next_i < len(ckpt_lengths) and ckpt_lengths[next_i] <= lo + k:
+                j = ckpt_lengths[next_i] - lo - 1
+                ckpts.append((n0 + lo + j, float(csum[j]), float(terms[j])))
+                next_i += 1
+            last_term = float(terms[-1])
+        log_carry = log_carry + part_log
         s_total = float(csum[-1])
-        while next_i < len(ckpt_lengths) and ckpt_lengths[next_i] <= done + m:
-            j = ckpt_lengths[next_i] - done - 1
-            ckpts.append((int(ns[j]), float(csum[j]), float(terms[j])))
-            next_i += 1
-        if terms[-1] > _BLOWUP_TERM or s_total > _BLOWUP_SUM:
+        if last_term > _BLOWUP_TERM or s_total > _BLOWUP_SUM:
             blew_up = True
         done += m
-
-    last_term = float(terms[-1]) if total > 0 else 0.0
 
     # Decay exponents and normalized increments between checkpoints.
     p_hats: list[float] = []

@@ -14,8 +14,9 @@ holds the command's own parameters.  Commands:
                   bound, or occupancy-vs-balance
 
 Exit codes: 0 success, 1 strict-mode Inconclusive (or failed check),
-2 usage/config errors, 3 I/O failures.  Outputs are written atomically
-and are byte-identical for identical (config, seed) pairs.
+2 usage/config errors, 3 I/O failures.  Every output is streamed, block
+by block, into a temp file that is renamed over the target once it is
+complete, and is byte-identical for identical (config, seed) pairs.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import enum
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import dataclasses
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -47,19 +49,21 @@ from .classifier import (
 )
 from .experiments import (
     RecurrenceExperiment,
+    _experiment_csv,
     balance_residual,
     estimate_occupancy,
-    experiment_csv,
     run_recurrence_experiment,
     solve_balance_window,
 )
 from . import fields
 from .fields import DriftField, JumpLaw, RateField
 from .simulator import (
+    _BLOCK,
     _csv,
+    _trajectory_csv,
+    _walk_blocks,
     martingale_check,
     simulate_walk,
-    trajectory_csv,
     wald_second_moment_check,
 )
 
@@ -416,7 +420,9 @@ def _sanitize(v: Any) -> Any:
         return v.value
     if isinstance(v, np.ndarray):
         if v.dtype.kind == "f" and np.isfinite(v).all():
-            return v.tolist()  # no NaN or inf to map: one tolist() writes the same JSON
+            # no NaN or inf to map: a 1-d array is left for _record_chunks
+            # to stream, and one tolist() writes the same JSON for the rest
+            return v if v.ndim == 1 and v.size else v.tolist()
         return [_sanitize(x) for x in v.tolist()]
     if isinstance(v, np.integer):
         return int(v)
@@ -430,7 +436,17 @@ def _sanitize(v: Any) -> Any:
     return v
 
 
-def _record_json(rc: RunConfig, result: dict) -> str:
+_SLOT = "\0array\0"  # stands in the record's skeleton for an array written apart
+
+
+def _record_chunks(rc: RunConfig, result: dict) -> Iterator[str]:
+    """The JSON record of ``result``, piece by piece, as
+    ``json.dumps(_sanitize(record), indent=2, sort_keys=True)`` writes it.
+
+    The skeleton is that dumps with a slot for each array ``_sanitize``
+    leaves (1-d, all finite, float).  Each array is written in its slot
+    ``_BLOCK`` values at a time, one ``float.__repr__`` per value, as
+    json writes a float, one per line at the slot's indent plus 2."""
     record = {
         "tool": "driftlab",
         "version": __version__,
@@ -439,7 +455,34 @@ def _record_json(rc: RunConfig, result: dict) -> str:
         "config": rc.effective,
         "result": result,
     }
-    return json.dumps(_sanitize(record), indent=2, sort_keys=True) + "\n"
+    arrays: list[np.ndarray] = []
+
+    def slot(a: Any) -> str:
+        if not isinstance(a, np.ndarray):
+            return json.JSONEncoder().default(a)  # raises json's TypeError
+        arrays.append(a)
+        return _SLOT
+
+    clean = _sanitize(record)
+    parts = json.dumps(clean, indent=2, sort_keys=True, default=slot).split(json.dumps(_SLOT))
+    if len(parts) != len(arrays) + 1:  # a string of the record reads as a slot
+        parts, arrays = [json.dumps(clean, indent=2, sort_keys=True, default=np.ndarray.tolist)], []
+    for head, a in zip(parts, arrays):
+        line = head[head.rfind("\n") + 1 :]
+        outer = "\n" + line[: len(line) - len(line.lstrip(" "))]
+        inner = outer + "  "
+        yield head
+        sep = "[" + inner
+        for lo in range(0, a.size, _BLOCK):
+            yield sep + ("," + inner).join(map(float.__repr__, a[lo : lo + _BLOCK].tolist()))
+            sep = "," + inner
+        yield outer + "]"
+    yield parts[-1] + "\n"
+
+
+def _record_json(rc: RunConfig, result: dict) -> str:
+    """``_record_chunks``' record as one string."""
+    return "".join(_record_chunks(rc, result))
 
 
 def _fmt_num(v: float) -> str:
@@ -450,7 +493,12 @@ def _fmt_c(v: float) -> str:
     return f"{v:.3f}" if math.isfinite(v) else str(v)
 
 
-def _cmd_classify(rc: RunConfig) -> tuple[int, Optional[str], str]:
+# A command is a generator: it yields its output's text piece by piece
+# and returns its exit code and summary line.
+_Output = Generator[str, None, tuple[int, str]]
+
+
+def _cmd_classify(rc: RunConfig) -> _Output:
     p = rc.params
     if p["mode"] == "mv_critical":
         cls = classify_mv_critical(p["rho"], p["beta"], p["x0"], p["x_max"], p["grid"])
@@ -461,35 +509,50 @@ def _cmd_classify(rc: RunConfig) -> tuple[int, Optional[str], str]:
         f"verdict={cls.verdict.value} c_estimate={_fmt_c(cls.c_estimate)} "
         f"method={cls.method} window=[{cls.window[0]:g},{cls.window[1]:g}]"
     )
-    code = 1 if rc.strict and cls.verdict is Verdict.INCONCLUSIVE else 0
-    return code, _record_json(rc, result), summary
+    yield from _record_chunks(rc, result)
+    return (1 if rc.strict and cls.verdict is Verdict.INCONCLUSIVE else 0), summary
 
 
-def _cmd_simulate(rc: RunConfig) -> tuple[int, Optional[str], str]:
+def _cmd_simulate(rc: RunConfig) -> _Output:
     p = rc.params
     rf = RateField(rc.field)
-    traj = simulate_walk(rf, rc.up_law, rc.down_law, p["horizon"], rc.seed, p["z0"])
-    if rc.output_format == "csv":
-        payload: Optional[str] = trajectory_csv(traj)
-    else:
-        payload = _record_json(
+    if rc.output_format == "json":
+        traj = simulate_walk(rf, rc.up_law, rc.down_law, p["horizon"], rc.seed, p["z0"])
+        n, final_z = traj.n_events, traj.final_z
+        yield from _record_chunks(
             rc,
             {
-                "n_events": traj.n_events,
-                "final_z": traj.final_z,
+                "n_events": n,
+                "final_z": final_z,
                 "times": traj.times,
                 "jumps": traj.jumps,
                 "z": traj.z_after,
             },
         )
-    summary = (
-        f"events={traj.n_events} final_z={_fmt_num(traj.final_z)} "
-        f"horizon={p['horizon']:g} seed={rc.seed}"
-    )
-    return 0, payload, summary
+    else:
+        # each block's rows are written as the block is drawn, so neither
+        # the path nor its text is ever held whole; with no output path
+        # nothing is rendered
+        n, final_z = 0, p["z0"]
+        blocks = _walk_blocks(rf, rc.up_law, rc.down_law, p["horizon"], rc.seed, p["z0"])
+
+        def tally() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+            nonlocal n, final_z
+            for block in blocks:
+                n += block[0].size
+                final_z = float(block[2][-1])
+                yield block
+
+        if rc.output_path is None:
+            for _ in tally():
+                pass
+        else:
+            yield from _trajectory_csv(tally())
+    summary = f"events={n} final_z={_fmt_num(final_z)} horizon={p['horizon']:g} seed={rc.seed}"
+    return 0, summary
 
 
-def _cmd_bd_oracle(rc: RunConfig) -> tuple[int, Optional[str], str]:
+def _cmd_bd_oracle(rc: RunConfig) -> _Output:
     p = rc.params
     if p["source"] == "ratio":
         chain = ratio_family_chain(p["c"], p["n_min"], p["n_max"])
@@ -510,21 +573,20 @@ def _cmd_bd_oracle(rc: RunConfig) -> tuple[int, Optional[str], str]:
         results[crit] = {**cls.to_record(), "evidence": cls.evidence}
 
     if rc.output_format == "csv":
-        payload: Optional[str] = _csv(
+        yield from _csv(
             "n,lambda_star,mu_star\n",
             lambda n, a, b: f"{n},{a!r},{b!r}\n",
-            (chain.sites, chain.lam, chain.mu),
+            [(chain.sites, chain.lam, chain.mu)],
         )
     else:
-        payload = _record_json(rc, {"chain_window": [chain.n_min, chain.n_max], **results})
+        yield from _record_chunks(rc, {"chain_window": [chain.n_min, chain.n_max], **results})
 
     bits = [f"{k}={v['verdict']}({_fmt_c(v['c_estimate'])})" for k, v in results.items()]
-    summary = " ".join(bits)
     inconclusive = any(v["verdict"] == Verdict.INCONCLUSIVE.value for v in results.values())
-    return (1 if rc.strict and inconclusive else 0), payload, summary
+    return (1 if rc.strict and inconclusive else 0), " ".join(bits)
 
 
-def _cmd_experiment(rc: RunConfig) -> tuple[int, Optional[str], str]:
+def _cmd_experiment(rc: RunConfig) -> _Output:
     p = rc.params
     exp = RecurrenceExperiment(
         rate_field=RateField(rc.field),
@@ -540,12 +602,12 @@ def _cmd_experiment(rc: RunConfig) -> tuple[int, Optional[str], str]:
     )
     report = run_recurrence_experiment(exp)
     if rc.output_format == "csv":
-        payload: Optional[str] = experiment_csv(report)
+        yield from _experiment_csv(report)
     else:
         # runtime is left out of the file so identical runs stay byte-identical
         rec = report.to_record()
         rec.pop("runtime_seconds", None)
-        payload = _record_json(rc, rec)
+        yield from _record_chunks(rc, rec)
     lo, hi = report.returned_ci
     summary = (
         f"paths={report.n_paths} reached={_fmt_num(report.reached_fraction)} "
@@ -553,14 +615,14 @@ def _cmd_experiment(rc: RunConfig) -> tuple[int, Optional[str], str]:
         f"ci=[{_fmt_num(lo)},{_fmt_num(hi)}] "
         f"runtime={report.runtime_seconds:.3g}s"
     )
-    return 0, payload, summary
+    return 0, summary
 
 
-def _cmd_check(rc: RunConfig) -> tuple[int, Optional[str], str]:
+def _cmd_check(rc: RunConfig) -> _Output:
     return _CHECKS[rc.params["kind"]](rc)
 
 
-def _check_martingale(rc: RunConfig) -> tuple[int, Optional[str], str]:
+def _check_martingale(rc: RunConfig) -> _Output:
     p = rc.params
     chk = martingale_check(p["rate"], rc.up_law, p["tau"], p["horizon"], p["n_paths"], rc.seed)
     lit, ens = chk.literal, chk.ensemble
@@ -568,11 +630,11 @@ def _check_martingale(rc: RunConfig) -> tuple[int, Optional[str], str]:
         f"martingale literal={_fmt_num(lit.mean_residual)}(se={_fmt_num(lit.se)},ok={lit.within_3se}) "
         f"ensemble={_fmt_num(ens.mean_residual)}(se={_fmt_num(ens.se)},ok={ens.within_3se})"
     )
-    code = 1 if rc.strict and not (lit.within_3se and ens.within_3se) else 0
-    return code, _record_json(rc, {"kind": "martingale", **chk.to_record()}), summary
+    yield from _record_chunks(rc, {"kind": "martingale", **chk.to_record()})
+    return (1 if rc.strict and not (lit.within_3se and ens.within_3se) else 0), summary
 
 
-def _check_wald(rc: RunConfig) -> tuple[int, Optional[str], str]:
+def _check_wald(rc: RunConfig) -> _Output:
     p = rc.params
     chk = wald_second_moment_check(
         RateField(rc.field),
@@ -588,11 +650,11 @@ def _check_wald(rc: RunConfig) -> tuple[int, Optional[str], str]:
         f"wald empirical={_fmt_num(chk.empirical_second_moment)} "
         f"bound={_fmt_num(chk.bound)} passed={chk.passed}"
     )
-    code = 1 if rc.strict and not chk.passed else 0
-    return code, _record_json(rc, result), summary
+    yield from _record_chunks(rc, result)
+    return (1 if rc.strict and not chk.passed else 0), summary
 
 
-def _check_balance(rc: RunConfig) -> tuple[int, Optional[str], str]:
+def _check_balance(rc: RunConfig) -> _Output:
     p = rc.params
     rf = RateField(rc.field)
     w = (p["window_min"], p["window_max"])
@@ -618,12 +680,13 @@ def _check_balance(rc: RunConfig) -> tuple[int, Optional[str], str]:
         summary += f" exact_l1={brx.l1:.3g}"
         if rc.strict and not brx.l1 < 1e-10:
             code = 1
-    return code, _record_json(rc, result), summary
+    yield from _record_chunks(rc, result)
+    return code, summary
 
 
 class _Command(NamedTuple):
     params: Callable[[_Sect], dict]
-    run: Callable[[RunConfig], tuple[int, Optional[str], str]]
+    run: Callable[[RunConfig], _Output]
     formats: tuple[str, ...]  # the first is the default
 
 
@@ -638,12 +701,25 @@ _COMMANDS = {
 _CHECKS = {"martingale": _check_martingale, "wald": _check_wald, "balance": _check_balance}
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` one at a time into a temp file beside ``path``,
+    then rename it over ``path``: the target keeps its old content until
+    the new one is whole, and a failure leaves no temp file behind.  The
+    file takes an overwritten target's mode, else 0o666 less the umask,
+    as ``open`` would make it (``mkstemp`` makes it 0o600)."""
     target = os.path.abspath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # read by setting it, then put back
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".driftlab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            os.fchmod(fh.fileno(), mode)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -652,21 +728,30 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def run(rc: RunConfig) -> int:
-    """Execute a validated config: write the output file (if requested)
-    atomically, print the one-line summary, return the exit code."""
+    """Execute a validated config: stream the output (if requested) into
+    its file atomically, then print the one-line summary and return the
+    exit code.  A ValueError from the command, raised before or while its
+    output is written, is a config error."""
+    ended: list[tuple[int, str]] = []
+
+    def chunks() -> Iterator[str]:
+        ended.append((yield from _COMMANDS[rc.command].run(rc)))
+
     try:
-        code, payload, summary = _COMMANDS[rc.command].run(rc)
+        if rc.output_path is None:
+            for _ in chunks():
+                pass
+        else:
+            try:
+                _atomic_write(rc.output_path, chunks())
+            except OSError as e:
+                print(f"driftlab: cannot write output: {rc.output_path}: {e}", file=sys.stderr)
+                return 3
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(f"{rc.command}: {e}") from e
-
-    if rc.output_path is not None and payload is not None:
-        try:
-            _atomic_write(rc.output_path, payload)
-        except OSError as e:
-            print(f"driftlab: cannot write output: {rc.output_path}: {e}", file=sys.stderr)
-            return 3
+    code, summary = ended[0]
     print(summary)
     return code
 

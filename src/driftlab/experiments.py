@@ -20,6 +20,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -231,13 +232,18 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
 
 def experiment_csv(report: ExperimentReport) -> str:
     """One row per path: path,seed,reached_L,first_hit_time,returned,final_z."""
+    return "".join(_experiment_csv(report))
+
+
+def _experiment_csv(report: ExperimentReport) -> Iterator[str]:
+    """``experiment_csv``'s text, piece by piece."""
     return _csv(
         "path,seed,reached_L,first_hit_time,returned,final_z\n",
         lambda o: (
             f"{o.path},{o.seed},{int(o.reached_level)},{o.first_hit_time!r},"
             f"{int(o.returned)},{o.final_z!r}\n"
         ),
-        (np.array(report.paths, dtype=object),),  # one column of PathOutcomes
+        [(np.array(report.paths, dtype=object),)],  # one column of PathOutcomes
     )
 
 
@@ -305,9 +311,10 @@ def estimate_occupancy(
     for times, _jumps, z_after in _event_blocks(rf, up_law, down_law, total_time, rng, z0):
         starts = np.concatenate(((t,), times[:-1]))
         zvals = np.concatenate(((z,), z_after[:-1]))
-        cells = np.floor(zvals).astype(np.int64) + 1
+        # cells are picked in float, so a state beyond +-2**63 is never cast
+        cells = np.floor(zvals) + 1.0
         inside = (cells >= n_min) & (cells <= n_max)
-        np.add.at(acc, cells[inside] - n_min, (times - starts)[inside])
+        np.add.at(acc, cells[inside].astype(np.int64) - n_min, (times - starts)[inside])
         t, z = float(times[-1]), float(z_after[-1])
     last = math.floor(z) + 1
     if n_min <= last <= n_max:

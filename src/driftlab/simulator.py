@@ -167,12 +167,7 @@ def simulate_walk(
     z0: float = 0.0,
 ) -> Trajectory:
     """Simulate one path on (0, horizon] starting from z0 at time 0."""
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError("horizon must be nonnegative and finite")
-    if not math.isfinite(z0):
-        raise ValueError("z0 must be finite")
-    check_seed(seed)
-    blocks = list(_event_blocks(rf, up_law, down_law, horizon, np.random.default_rng(seed), z0))
+    blocks = list(_walk_blocks(rf, up_law, down_law, horizon, seed, z0))
     if blocks:
         times, jumps, z_after = (np.concatenate(part) for part in zip(*blocks))
     else:
@@ -185,6 +180,25 @@ def simulate_walk(
         jumps=jumps,
         z_after=z_after,
     )
+
+
+def _walk_blocks(
+    rf: RateField,
+    up_law: JumpLaw,
+    down_law: JumpLaw,
+    horizon: float,
+    seed: int,
+    z0: float,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``simulate_walk``'s path as ``_event_blocks``' (times, signed jumps,
+    z_after) blocks, drawn as they are read; the arguments are checked
+    here, before the first block is asked for."""
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be nonnegative and finite")
+    if not math.isfinite(z0):
+        raise ValueError("z0 must be finite")
+    check_seed(seed)
+    return _event_blocks(rf, up_law, down_law, horizon, np.random.default_rng(seed), z0)
 
 
 def _first_block(horizon: float) -> int:
@@ -885,18 +899,26 @@ def wald_second_moment_check(
     )
 
 
-def _csv(header: str, row: Callable[..., str], cols: Sequence[np.ndarray]) -> str:
-    """``header``, then the line ``row`` renders from each index of the
-    equal-length columns.  Rows are rendered ``_BLOCK`` at a time from the
-    block's plain Python values, so besides the text only one block's
-    values and row strings are alive at once.  ``row`` is a function
-    rather than a ``str.format`` template, which is parsed again for
-    every row: on a 2e5-row path (Python 3.11) that took about 15% more
-    time than an f-string."""
-    blocks = [header]
-    for lo in range(0, len(cols[0]), _BLOCK):
-        blocks.append("".join(map(row, *(c[lo : lo + _BLOCK].tolist() for c in cols))))
-    return "".join(blocks)
+def _csv(
+    header: str, row: Callable[..., str], blocks: Iterable[Sequence[np.ndarray]]
+) -> Iterator[str]:
+    """``header``, then the lines ``row`` renders from each index of each
+    block's equal-length columns.  Rows are rendered and yielded
+    ``_BLOCK`` at a time from the block's plain Python values, so a
+    consumer that writes each piece holds one piece's values and text at
+    a time.  ``row`` is a function rather than a ``str.format``
+    template, which is parsed again for every row: on a 2e5-row path
+    (Python 3.11) that took about 15% more time than an f-string."""
+    yield header
+    for cols in blocks:
+        for lo in range(0, len(cols[0]), _BLOCK):
+            yield "".join(map(row, *(c[lo : lo + _BLOCK].tolist() for c in cols)))
+
+
+def _trajectory_csv(blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[str]:
+    """``trajectory_csv``'s text, piece by piece, from (times, jumps,
+    z_after) blocks such as ``_walk_blocks``'."""
+    return _csv("tau,signed_jump,z_after\n", lambda t, j, z: f"{t!r},{j!r},{z!r}\n", blocks)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -905,5 +927,4 @@ def trajectory_csv(traj: Trajectory) -> str:
     Columns: tau (event time), signed_jump, z_after.  Values are written
     with repr so a round-trip through the text recovers the exact floats.
     """
-    cols = (traj.times, traj.jumps, traj.z_after)
-    return _csv("tau,signed_jump,z_after\n", lambda t, j, z: f"{t!r},{j!r},{z!r}\n", cols)
+    return "".join(_trajectory_csv([(traj.times, traj.jumps, traj.z_after)]))

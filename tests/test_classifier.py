@@ -11,6 +11,7 @@ from driftlab.classifier import (
     BDChain,
     Classification,
     Verdict,
+    _series_checkpoints,
     bd_series_criterion,
     classify_bd_bilateral,
     classify_mv_critical,
@@ -217,7 +218,7 @@ CELL_FIELDS = [
 
 
 @pytest.mark.parametrize("field", CELL_FIELDS, ids=lambda f: type(f).__name__)
-@pytest.mark.parametrize("sites", [1, 4095, 4096, 4097, 2**17])
+@pytest.mark.parametrize("sites", [1, 1023, 1024, 1025, 4095, 4096, 4097, 2**17])
 @pytest.mark.parametrize("q", [1, 3, 8])
 def test_row_blocked_cell_rates_match_the_one_shot_grid(field, sites, q):
     rf = RateField(field)
@@ -285,6 +286,69 @@ def test_series_tail_memory_is_bounded():
         tracemalloc.stop()
     assert res.verdict is Verdict.TRANSIENT
     assert peak <= 24e6
+
+
+def test_series_tail_is_read_in_pieces_of_2_14_sites():
+    # a 2**17-site tail block is evaluated 2**14 sites at a time in two
+    # reused buffers; the whole block's temporaries took about 8 MB
+    ch = discretize_to_bd(cl_rates(2.0), 2, 10000)
+    tracemalloc.start()
+    try:
+        res = bd_series_criterion(ch, 2, tail_extension=990000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verdict is Verdict.TRANSIENT
+    assert peak <= 4e6
+
+
+def whole_block_series(chain, n0, tail_extension):
+    """Reference: the series' sum, last term and last six checkpoints with
+    each 2**17-site block evaluated whole, one cumsum per block."""
+    block = 1 << 17
+    total = chain.n_max + tail_extension - n0 + 1
+    lengths = np.array(_series_checkpoints(total))
+    log_carry = s_total = 0.0
+    ckpts = []
+    for done in range(0, total, block):
+        ns = np.arange(n0 + done, n0 + min(done + block, total))
+        lam, mu = chain.rates_at(ns)
+        with np.errstate(divide="ignore"):
+            logs = log_carry + np.cumsum(np.log(mu) - np.log(lam))
+        log_carry = float(logs[-1])
+        with np.errstate(under="ignore", over="ignore"):
+            terms = np.exp(logs)
+        csum = s_total + np.cumsum(terms)
+        s_total = float(csum[-1])
+        js = lengths - done - 1
+        ckpts += [(int(ns[j]), float(csum[j]), float(terms[j])) for j in js[(js >= 0) & (js < ns.size)]]
+        if terms[-1] > 1e8 or s_total > 1e15:
+            break
+    return s_total, float(terms[-1]), ckpts[-6:]
+
+
+def _mu_vanishes_beyond(n_cut):
+    def rates(ns):
+        ns = np.asarray(ns, float)
+        return np.full(ns.shape, 0.7), np.where(ns > n_cut, 0.0, 0.3)
+
+    return rates
+
+
+@pytest.mark.parametrize(
+    "chain,tail",
+    [
+        (ratio_family_chain(2.0, 2, 5000), 2**17 * 2 + 2**14 + 7),  # ends inside a piece
+        (ratio_family_chain(0.5, 2, 1000), 300_000),
+        (ratio_family_chain(1.0, 2, 2**14 + 1), 2**17),
+        (discretize_to_bd(cl_rates(2.0), 2, 10000), 990_000),
+        (BDChain(2, 99, np.full(98, 0.7), np.full(98, 0.3), _mu_vanishes_beyond(40_000)), 200_000),
+    ],
+    ids=["ratio-2", "ratio-0.5", "ratio-1", "critical-lamperti", "mu-vanishes"],
+)
+def test_series_pieces_match_whole_blocks_bit_for_bit(chain, tail):
+    ev = bd_series_criterion(chain, 2, tail_extension=tail).evidence
+    assert (ev["sum"], ev["last_term"], ev["checkpoints"]) == whole_block_series(chain, 2, tail)
 
 
 class TestRatioFamily:

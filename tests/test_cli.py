@@ -1,15 +1,18 @@
 import enum
+import errno
 import itertools
 import json
 import math
 import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
 import driftlab
-from driftlab import cli
+from driftlab import cli, experiments, simulator
 from driftlab.classifier import ratio_family_chain
 from driftlab.cli import ConfigError, main, parse_config
 from driftlab.fields import (
@@ -649,9 +652,215 @@ def test_record_json_arrays_match_the_per_element_path(monkeypatch):
         "float32": np.array([0.1, -0.0], dtype=np.float32),
         "empty": np.array([]),
         "nested": [{"z": np.array(edge)}, (np.float64(-0.0), np.int64(4))],
+        "one": np.array([0.1]),
+        "float16": np.array([0.1, 65504.0], dtype=np.float16),
+        "bools": np.array([True, False]),
+        "arrays_in_lists": [np.array(edge), [np.array([]), np.array([1.5])], []],
+        "deep": {"b": {"a": [{"c": np.array(edge), "d": np.array([np.nan])}]}},
     }
     rc = parse_config("command: classify\n")
     got = cli._record_json(rc, result)
     monkeypatch.setattr(cli, "_sanitize", per_element_sanitize)
     assert got == cli._record_json(rc, result)
     assert '"inf"' in got and "null" in got and "5e-324" in got and "-0.0" in got
+
+
+def assert_same_text(got, want):
+    """``got == want`` for two str or two bytes, failing with the first
+    line that differs: pytest's own diff of two records thousands of
+    lines long takes minutes."""
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i + 1} differs: {a[i:i + 1]} != {b[i:i + 1]} "
+                    f"({len(a)} vs {len(b)} lines)")
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_record_arrays_are_written_across_blocks(n):
+    # arrays are written 4096 values at a time, at the indent of their slot
+    a = np.linspace(-1.0, 1.0, n)
+    a[:3] = [-0.0, 5e-324, 1e16]
+    result = {"a": a, "lists": [a, [{"b": a[::-1]}]]}
+    rc = parse_config("command: classify\n")
+    assert_same_text(cli._record_json(rc, result), whole_record_json(rc, result))
+
+
+def test_a_record_string_that_reads_as_a_slot_stays_a_string():
+    result = {"text": cli._SLOT, "finite": np.array([0.5, -0.0])}
+    rc = parse_config("command: classify\n")
+    got = cli._record_json(rc, result)
+    assert_same_text(got, whole_record_json(rc, result))
+    assert json.loads(got)["result"] == {"text": "\0array\0", "finite": [0.5, -0.0]}
+
+
+def whole_record_json(rc, result):
+    """Reference: the record as one json.dumps string, every array
+    through the per-element rules."""
+    record = {
+        "tool": "driftlab",
+        "version": driftlab.__version__,
+        "command": rc.command,
+        "seed": rc.seed,
+        "config": rc.effective,
+        "result": result,
+    }
+    return json.dumps(per_element_sanitize(record), indent=2, sort_keys=True) + "\n"
+
+
+def whole_csv(header, row, blocks):
+    """Reference: the header and every row of the concatenated blocks as
+    one string."""
+    blocks = list(blocks)
+    if not blocks:
+        return header
+    cols = [np.concatenate(c).tolist() for c in zip(*blocks)]
+    return header + "".join(itertools.starmap(row, zip(*cols)))
+
+
+SIMULATE_LONG = """\
+command: simulate
+field: {family: power_law, rho: 0.1, alpha: -0.5, beta: 0.25}
+jumps: {up: {family: gamma_mean1, k: 2.0}, down: {family: exponential_mean1}}
+simulate: {horizon: 20000.0, z0: 0.5}
+"""
+
+# every streamed output: (config, format)
+STREAMED = {
+    "simulate-csv-empty": ("command: simulate\nsimulate: {horizon: 0.0}\n", "csv"),
+    "simulate-json-empty": ("command: simulate\nsimulate: {horizon: 0.0}\n", "json"),
+    "simulate-csv": (SIMULATE_LONG, "csv"),
+    "simulate-json": (SIMULATE_LONG, "json"),
+    "experiment-csv": (EXPERIMENT_SMALL, "csv"),
+    "experiment-json": (EXPERIMENT_SMALL, "json"),
+    "bd-oracle-csv": ("command: bd-oracle\nfield: {family: critical_lamperti, c: 3.0}\n"
+                      "bd-oracle: {n_max: 5000, tail_extension: 20000}\n", "csv"),
+    "bd-oracle-json": ("command: bd-oracle\nfield: {family: critical_lamperti, c: 3.0}\n"
+                       "bd-oracle: {n_max: 5000, tail_extension: 20000}\n", "json"),
+    "check-balance": ("command: check\nfield: {family: mean_reverting, kappa: 0.2}\n"
+                      "check: {kind: balance, total_time: 10000.0}\n", "json"),
+    "check-wald": ("command: check\ncheck: {kind: wald, n_paths: 200}\n", "json"),
+    "check-martingale": ("command: check\ncheck: {kind: martingale, n_paths: 200}\n", "json"),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_outputs_match_the_whole_string_renderers(tmp_path, monkeypatch, name, seed):
+    text, fmt = STREAMED[name]
+    out = tmp_path / f"out.{fmt}"  # records embed the path, so both runs share it
+    argv = [write(tmp_path, text), "--seed", str(seed), "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    streamed = out.read_bytes()
+    monkeypatch.setattr(cli, "_record_chunks", lambda rc, result: [whole_record_json(rc, result)])
+    for module in (cli, experiments, simulator):
+        monkeypatch.setattr(module, "_csv", lambda *args: [whole_csv(*args)])
+    assert main(argv) == 0
+    assert_same_text(out.read_bytes(), streamed)
+
+
+def test_simulate_csv_without_an_output_path_renders_nothing(tmp_path, monkeypatch, capsys):
+    cfg = write(tmp_path, SIMULATE_LONG)
+    assert main([cfg, "--out", str(tmp_path / "walk.csv")]) == 0
+    written = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_trajectory_csv", None)  # calling it would fail
+    assert main([cfg]) == 0
+    assert capsys.readouterr().out == written
+
+
+def test_simulate_csv_memory_does_not_grow_with_the_horizon(tmp_path):
+    # each block's rows are written as it is drawn; holding the path, its
+    # text and the encoded text took about 115 bytes an event
+    cfg = write(tmp_path, "command: simulate\nsimulate: {horizon: 100.0}\n")
+    out = str(tmp_path / "walk.csv")
+    assert main([cfg, "--out", out]) == 0  # one-time set-up, not measured
+    peaks = []
+    for horizon in (2e5, 8e5):
+        tracemalloc.start()
+        try:
+            assert main([cfg, "--set", f"simulate.horizon={horizon}", "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert os.path.getsize(out) > 20e6
+    assert max(peaks) <= 4e6
+    assert peaks[1] <= peaks[0] + 0.5e6
+
+
+class _FullDisk:
+    """A file whose second write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
+
+
+class TestStreamedWriteFailures:
+    """A failure part-way through a stream leaves the target as it was
+    and no temp file behind."""
+
+    def run(self, tmp_path, capsys):
+        cfg = write(tmp_path, "command: simulate\nsimulate: {horizon: 10000.0}\n")
+        out = tmp_path / "walk.csv"
+        out.write_text("old\n")
+        code = main([cfg, "--out", str(out)])
+        assert out.read_text() == "old\n"
+        assert [n for n in os.listdir(tmp_path) if n.startswith(".driftlab-")] == []
+        return code, capsys.readouterr().err
+
+    def test_value_error_after_the_first_block_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        walk_blocks = cli._walk_blocks
+
+        def failing(*args):
+            blocks = walk_blocks(*args)
+            yield next(blocks)
+            assert any(n.startswith(".driftlab-") for n in os.listdir(tmp_path))
+            raise ValueError("phi is not finite at z=3")
+
+        monkeypatch.setattr(cli, "_walk_blocks", failing)
+        code, err = self.run(tmp_path, capsys)
+        assert code == 2
+        assert err == "driftlab: config error: simulate: phi is not finite at z=3\n"
+
+    def test_os_error_while_writing_exits_3(self, tmp_path, monkeypatch, capsys):
+        fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: _FullDisk(fdopen(*a, **kw)))
+        code, err = self.run(tmp_path, capsys)
+        assert code == 3
+        assert "cannot write output" in err and os.strerror(errno.ENOSPC) in err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_a_new_output_gets_the_umask_mode(tmp_path, umask):
+    cfg = write(tmp_path, CLASSIFY_CL3)
+    out = tmp_path / "rec.json"
+    before = os.umask(umask)
+    try:
+        assert main([cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(before)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+def test_an_overwritten_output_keeps_its_mode(tmp_path):
+    cfg = write(tmp_path, SIMULATE_SMALL)
+    out = tmp_path / "walk.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert main([cfg, "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_text().startswith("tau,signed_jump,z_after\n")

@@ -409,6 +409,13 @@ class TestOccupancy:
         with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
             estimate_occupancy(MR, Constant1(), Constant1(), total_time, (-5, 5), seed=1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z0", [1e19, -1e19])
+    def test_states_beyond_int64_fall_outside_the_window(self, z0):
+        # cells are picked in float: casting z ~ 1e19 to int64 would warn
+        occ = estimate_occupancy(MR, Constant1(), Constant1(), 50.0, (-5, 5), seed=1, z0=z0)
+        assert occ.p_star.tolist() == [0.0] * 11
+
     def test_cell_accessor(self):
         occ = OccupancyEstimate(-2, 2, np.array([0.1, 0.2, 0.3, 0.2, 0.1]), 10.0)
         assert occ.cell(-2) == 0.1
