@@ -456,10 +456,12 @@ def bd_series_criterion(chain: BDChain, n0: int, tail_extension: int = 0) -> Cla
             with np.errstate(under="ignore", over="ignore"):
                 terms = np.exp(logs, out=logs)
             csum[:] = terms
-            csum[0] += part_sum
-            np.cumsum(csum, out=csum)
-            part_sum = float(csum[-1])
-            csum += s_total
+            # a term that overflowed to inf makes the sums inf: a blow-up
+            with np.errstate(over="ignore"):
+                csum[0] += part_sum
+                np.cumsum(csum, out=csum)
+                part_sum = float(csum[-1])
+                csum += s_total
             while next_i < len(ckpt_lengths) and ckpt_lengths[next_i] <= lo + k:
                 j = ckpt_lengths[next_i] - lo - 1
                 ckpts.append((n0 + lo + j, float(csum[j]), float(terms[j])))
@@ -477,7 +479,10 @@ def bd_series_criterion(chain: BDChain, n0: int, tail_extension: int = 0) -> Cla
     for (na, sa, ta), (nb, sb, tb) in zip(ckpts, ckpts[1:]):
         span = math.log2(nb / na)
         if tb > 0.0 and ta > 0.0:
-            p_hats.append(math.log2(ta / tb) / span)
+            # a ratio that underflows to 0 (the later term overflowed to
+            # inf, or grew past the float range) is read in logs
+            r = ta / tb
+            p_hats.append((math.log2(r) if r > 0.0 else math.log2(ta) - math.log2(tb)) / span)
         else:
             p_hats.append(math.inf)
         incs.append((sb - sa) / span)

@@ -160,7 +160,10 @@ class CriticalLamperti(DriftField):
         x = np.asarray(x, float)
         t = np.asarray(t, float)
         ax = _reg_abs(x, self.x_floor)
-        return _as_result(self._clip(_like_t(self.c / (4.0 * ax), t)))
+        # dividing c by 4 is exact (short of subnormal c), so this is
+        # c / (4 ax) without 4 ax overflowing past DBL_MAX/4: the scalar
+        # closure's c4 / ax
+        return _as_result(self._clip(_like_t((self.c / 4.0) / ax, t)))
 
     def scalar_phi(self) -> ScalarPhi:
         c4 = self.c / 4.0
@@ -277,7 +280,9 @@ class MeanReverting(DriftField):
     def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
         x = np.asarray(x, float)
         t = np.asarray(t, float)
-        m = np.minimum(0.5, np.abs(x) / self.x_floor)
+        # |x| capped at x_floor leaves min(1/2, |x|/x_floor) as it is and
+        # keeps the quotient from overflowing when x_floor is tiny
+        m = np.minimum(0.5, np.minimum(np.abs(x), self.x_floor) / self.x_floor)
         v = -0.5 * self.kappa * np.sign(x) * m
         return _as_result(self._clip(_like_t(v, t)))
 

@@ -51,15 +51,16 @@ drawn whole, path by path, by ``_draw_rows``: one generator, set to
 each path's start, draws the n waits, n uniforms, n up marks and n down
 marks straight into right-sized rows, ``_CHUNK`` paths at a time, and
 the event counts come from the times.  A larger block is drawn through
-each path's own generator, which at the block start positions four
-cursor generators at the block's waits, uniforms, up marks and down
-marks (through ``bit_generator.state``); the cursors then draw the
-block 128 events at a time into buffers reused across chunks, so the
-engine holds O(paths x 128) draws, never a (paths, 4096) block.  The
+each path's own generator, which at the block start positions cursor
+generators at the block's waits, uniforms, up marks and down marks
+(through ``bit_generator.state``); the cursors then draw the block
+``_DRAW`` (256) events per generator call into buffers reused across
+windows, each window walked and yielded ``_CHUNK`` events at a time, so
+the engine holds O(paths x 256) draws, never a (paths, 4096) block.  The
 path generators and cursors are made only when a block needs them.
-``Constant1`` marks draw no generator words, so a unit-mark side's
-buffer is filled once (+1 up, -1 down) and nothing is drawn for it.
-The engine's paths equal ``_event_blocks``' bit for bit wherever
+``Constant1`` marks draw no generator words, so a unit-mark side has no
+buffer and no cursor, and its steps are the scalars +1 (up) and -1
+(down).  The engine's paths equal ``_event_blocks``' bit for bit wherever
 ``phi`` and ``scalar_phi`` agree, which they do for every family except
 ``PowerLaw`` (numpy's ``power`` and libm's ``pow`` differ by up to 4
 ulp), where a direction flips only if a uniform lands within those ulp
@@ -109,6 +110,7 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
+from itertools import repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -133,6 +135,7 @@ __all__ = [
 
 _BLOCK = 4096  # events per draw block after a path's first
 _CHUNK = 128  # events per lockstep chunk of _batch_chunks
+_DRAW = 256  # events per generator call of _batch_chunks' cursors
 _BATCH = 512  # paths per lockstep sub-batch of _batch_chunks
 
 _GL = list(zip(*(v.tolist() for v in np.polynomial.legendre.leggauss(16))))
@@ -210,12 +213,19 @@ def _first_block(horizon: float) -> int:
     return math.ceil(horizon + 8.0 * math.sqrt(horizon) + 16.0)
 
 
-def _block_times(rng: np.random.Generator, t: float, horizon: float, n: int) -> np.ndarray:
+def _block_times(
+    rng: np.random.Generator, t: float, horizon: float, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw a block's n waits and return its event times up to the
-    horizon.  Seeding the cumsum with the carried time t makes every
-    partial sum the exact left fold ``t + dt`` of a scalar loop."""
-    tb = np.cumsum(np.concatenate(((t,), rng.standard_exponential(n))))[1:]
-    return tb[: int(np.searchsorted(tb, horizon, side="right"))]
+    horizon, as a view of ``out`` (at least n + 1 entries, reused by the
+    caller) when it is given.  Seeding the cumsum with the carried time t
+    makes every partial sum the exact left fold ``t + dt`` of a scalar
+    loop."""
+    tb = np.empty(n + 1) if out is None else out[: n + 1]
+    tb[0] = t
+    rng.standard_exponential(out=tb[1:])
+    np.cumsum(tb, out=tb)
+    return tb[1 : 1 + int(np.searchsorted(tb[1:], horizon, side="right"))]
 
 
 def _event_blocks(
@@ -287,13 +297,13 @@ def _draw_rows(
     rngs: Iterable[np.random.Generator],
     waits: np.ndarray,
     uniforms: np.ndarray,
-    marks: Sequence[tuple[JumpLaw, np.ndarray]],
+    marks: Sequence[tuple[JumpLaw, np.ndarray | None]],
 ) -> None:
     """Draw one whole block per path straight into its rows: from the
     i-th generator, n waits into ``waits[i]``, n uniforms into
     ``uniforms[i]``, then n marks into row i of each ``(law, buffer)`` of
     ``marks`` in turn, n being the buffers' width.  A ``Constant1`` law
-    draws no words, so its buffer is left as the caller filled it."""
+    draws no words and needs no buffer, so its entry is skipped."""
     drawn = [(law, m) for law, m in marks if not isinstance(law, Constant1)]
     n = waits.shape[1]
     for i, rng in enumerate(rngs):
@@ -310,6 +320,12 @@ def _at_states(
     for state in states:
         rng.bit_generator.state = state
         yield rng
+
+
+def _cut(bufs: Sequence[np.ndarray | None], rows: int, c0: int, c1: int) -> list:
+    """The first ``rows`` rows and columns c0..c1-1 of each buffer; a
+    unit side's missing buffer stays None."""
+    return [None if b is None else b[:rows, c0:c1] for b in bufs]
 
 
 def _batch_chunks(
@@ -333,53 +349,59 @@ def _batch_chunks(
     Paths run in sub-batches of ``_BATCH``.  A first block of n <=
     ``_CHUNK`` events is drawn whole by one generator set to each path's
     derived starting state, into right-sized rows (n waits, n uniforms,
-    n up marks, n down marks) ``_CHUNK`` paths at a time, and its event
-    counts come from its times.  A path that goes on past such a block,
-    or whose first block is larger, gets a pooled generator set to its
-    starting state (and moved past a first block drawn whole), which at
-    every block start positions four cursor generators (waits, direction
-    uniforms, up marks, down marks); the cursors draw the block chunk by
-    chunk into the buffers, so memory grows with ``_BATCH * _CHUNK``,
-    not with the block.  The pooled generators and cursors are made the
-    first time a path needs them.  A ``Constant1`` side keeps its buffer
-    of unit marks and draws nothing.  The field is evaluated across
-    paths with the vectorized ``phi``.
+    then n marks of each side whose marks are random) ``_CHUNK`` paths at
+    a time, and its event counts come from its times.  A path that goes
+    on past such a block, or whose first block is larger, gets a pooled
+    generator set to its starting state (and moved past a first block
+    drawn whole), which at every block start positions its cursor
+    generators (waits, direction uniforms, up marks, down marks).  The
+    cursors draw the block in windows of ``_DRAW`` events, one generator
+    call per path and stream, into buffers reused across windows, and
+    each window is walked and yielded ``_CHUNK`` columns at a time; so
+    memory grows with ``_BATCH * _DRAW``, not with the block.  At each
+    block start the live paths are put in order of their event counts,
+    longest first, so the paths in any window or chunk of the block are
+    a prefix of the rows.  The pooled generators and cursors are made
+    the first time a path needs them.  A ``Constant1`` side keeps no
+    buffer and draws nothing: its steps are the scalars +1 (up) and -1
+    (down).  The field is evaluated across paths with the vectorized
+    ``phi``.
     """
     if horizon <= 0.0:
         return
-    drift = None if isinstance(rf.drift, Zero) else rf.drift
+    phi = None if isinstance(rf.drift, Zero) else rf.drift.phi
     width = min(_BATCH, len(seeds))
-    # A new PCG64 costs ~20 us and ~2 kB, so generators are made once and
+    # A new PCG64 costs ~10 us and ~2 kB, so generators are made once and
     # positioned through their state: one draws whole first blocks, and
     # the per-path generators and their cursors are made when a path
-    # first goes past its first block or that block needs cursors.
-    rng = np.random.Generator(np.random.PCG64(0))
+    # first goes past its first block or that block needs cursors.  They
+    # are seeded from one prebuilt SeedSequence, which halves that cost;
+    # the seed is never drawn from.
+    blank = np.random.SeedSequence(0)
+    rng = np.random.Generator(np.random.PCG64(blank))
     rngs: list[np.random.Generator] = []
-    pool: list[list[np.random.Generator]] = []
+    pool: list[list[np.random.Generator | None]] = []
     unit_up, unit_dn = isinstance(up_law, Constant1), isinstance(down_law, Constant1)
-    bufs: dict[tuple[int, int], np.ndarray] = {}
+    bufs: dict[tuple[int, int], list] = {}
+    waits = np.empty(_BLOCK + 1)  # _position's reused block of waits
 
-    def buffers(rows: int, cols: int) -> np.ndarray:
+    def buffers(rows: int, cols: int) -> list:
         # waits (then times), uniforms (then z_after), up marks, down
-        # marks (negated); unit marks are never random, so they are
-        # filled once
+        # marks (negated by the walk); a unit side has none
         if (rows, cols) not in bufs:
-            b = bufs[rows, cols] = np.zeros((4, rows, cols))
-            if unit_up:
-                b[2].fill(1.0)
-            if unit_dn:
-                b[3].fill(-1.0)
+            bufs[rows, cols] = [None if unit else np.zeros((rows, cols))
+                                for unit in (False, False, unit_up, unit_dn)]
         return bufs[rows, cols]
 
-    def walk(rows, counts, t, u, a, d):
+    def walk(rows, counts, t, z, a, d):
         # the rows' times are in t; place their first counts[i] events
-        # in u, each column once its uniforms are read, and carry each
+        # in z, each column once its uniforms are read, and carry each
         # row's last
         steps = int(counts.max())
-        t, z, a, d = (b[:, :steps] for b in (t, u, a, d))
-        if not unit_dn:
-            np.negative(d, out=d)
-        if drift is None:
+        t, z = t[:, :steps], z[:, :steps]
+        a = 1.0 if a is None else a[:, :steps]
+        d = -1.0 if d is None else np.negative(d[:, :steps], out=d[:, :steps])
+        if phi is None:
             up = z < 0.5
             np.copyto(z, d)
             np.copyto(z, a, where=up)
@@ -387,9 +409,11 @@ def _batch_chunks(
             np.cumsum(z, axis=1, out=z)
         else:
             zs = z_carry[rows]
-            for s in range(steps):
-                up = z[:, s] < 0.5 + drift.phi(zs, t[:, s])
-                zs = z[:, s] = zs + np.where(up, a[:, s], d[:, s])
+            ups = repeat(a) if unit_up else a.T
+            dns = repeat(d) if unit_dn else d.T
+            for tc, zc, ac, dc in zip(t.T, z.T, ups, dns):
+                # the column's uniforms are read before its states replace them
+                zs = np.add(zs, np.where(zc < 0.5 + phi(zs, tc), ac, dc), out=zc)
         last = (np.arange(rows.size), counts - 1)
         t_carry[rows] = t[last]
         z_carry[rows] = z[last]
@@ -409,7 +433,7 @@ def _batch_chunks(
             k = np.empty(live.size, dtype=int)
             for g in range(0, live.size, _CHUNK):
                 group = live[g : g + _CHUNK]
-                t, u, a, d = buffers(min(width, _CHUNK), n)[:, : group.size]
+                t, u, a, d = _cut(buffers(min(width, _CHUNK), n), group.size, 0, n)
                 _draw_rows(_at_states(rng, states[g : g + _CHUNK]), t, u,
                            ((up_law, a), (down_law, d)))
                 np.cumsum(t, axis=1, out=t)
@@ -422,42 +446,45 @@ def _batch_chunks(
                     yield (rows, t, z, counts) if on.all() else (rows[on], t[on], z[on], counts[on])
             live = live[k == n]
         if live.size and not rngs:
-            rngs = [np.random.Generator(np.random.PCG64(0)) for _ in range(width)]
-            pool = [[np.random.Generator(np.random.PCG64(0)) for _ in range(4)]
-                    for _ in range(width)]
+            rngs = [np.random.Generator(np.random.PCG64(blank)) for _ in range(width)]
+            # cursors for waits, uniforms and each side whose marks are random
+            pool = [[np.random.Generator(np.random.PCG64(blank)) if need else None
+                     for need in (True, True, not unit_up, not unit_dn)] for _ in range(width)]
         for p in live.tolist():
             rngs[p].bit_generator.state = states[p]
             if whole:  # move past the first block, drawn whole above
-                _position(rngs[p], pool[p], 0.0, horizon, n, up_law, down_law)
+                _position(rngs[p], pool[p], 0.0, horizon, n, up_law, down_law, waits)
         if whole:
             n = _BLOCK
         while live.size:
-            k = np.array([_position(rngs[p], pool[p], t_carry[p], horizon, n, up_law, down_law)
-                          for p in live.tolist()])
-            for j0 in range(0, int(k.max()), _CHUNK):
-                counts = np.minimum(k - j0, _CHUNK)
-                on = counts > 0
-                rows, counts = live[on], counts[on]
-                nr, steps = rows.size, int(counts.max())
-                t, u, a, d = buffers(width, _CHUNK)[:, :nr, :steps]
-                for i, (p, c) in enumerate(zip(rows.tolist(), counts.tolist())):
+            k = np.array([_position(rngs[p], pool[p], t_carry[p], horizon, n, up_law, down_law,
+                                    waits) for p in live.tolist()])
+            order = np.argsort(-k, kind="stable")  # longest first
+            live, k = live[order], k[order]
+            for j0 in range(0, int(k[0]), _DRAW):
+                drawn = np.minimum(k - j0, _DRAW)
+                nr = int(np.count_nonzero(drawn > 0))
+                rows, drawn, cols = live[:nr], drawn[:nr], int(drawn[0])
+                bs = t, u, a, d = _cut(buffers(width, _DRAW), nr, 0, cols)
+                for i, (p, c) in enumerate(zip(rows.tolist(), drawn.tolist())):
                     cw, cu, ca, cd = pool[p]
                     cw.standard_exponential(out=t[i, :c])
                     cu.random(out=u[i, :c])
-                    if not unit_up:
+                    if a is not None:
                         up_law.sample_block(ca, c, out=a[i, :c])
-                    if not unit_dn:
+                    if d is not None:
                         down_law.sample_block(cd, c, out=d[i, :c])
-                    if c < steps:
+                    if c < cols:
                         # zero waits and jumps keep the ignored lanes finite
-                        t[i, c:] = u[i, c:] = 0.0
-                        if not unit_up:
-                            a[i, c:] = 0.0
-                        if not unit_dn:
-                            d[i, c:] = 0.0
+                        for b in bs:
+                            if b is not None:
+                                b[i, c:] = 0.0
                 t[:, 0] += t_carry[rows]
                 np.cumsum(t, axis=1, out=t)
-                yield walk(rows, counts, t, u, a, d)
+                for c0 in range(0, cols, _CHUNK):
+                    counts = np.minimum(drawn - c0, _CHUNK)
+                    m = int(np.count_nonzero(counts > 0))
+                    yield walk(rows[:m], counts[:m], *_cut(bs, m, c0, c0 + _CHUNK))
             # a block short of its n events is the path's last, however
             # close its last event is to the horizon
             live = live[k == n]
@@ -472,22 +499,27 @@ def _position(
     n: int,
     up_law: JumpLaw,
     down_law: JumpLaw,
+    waits: np.ndarray,
 ) -> int:
-    """Put the four cursors at the starts of the n-event block's waits,
-    uniforms, up marks and down marks; move ``rng`` past the block when
-    the path goes on after it.  Returns the block's event count k."""
+    """Put the cursors at the starts of the n-event block's waits and
+    uniforms, and of the up and down marks of each side whose marks are
+    random; move ``rng`` past the block when the path goes on after it.
+    The block's times are counted in ``waits``, a reused buffer of at
+    least n + 1 entries.  Returns the block's event count k."""
     cw, cu, ca, cd = cursors
     cw.bit_generator.state = rng.bit_generator.state
-    k = _block_times(rng, t, horizon, n).size
+    k = _block_times(rng, t, horizon, n, waits).size
     if k:
         cu.bit_generator.state = rng.bit_generator.state
         rng.bit_generator.advance(n)  # one 64-bit word per uniform
-        ca.bit_generator.state = rng.bit_generator.state
-        if not isinstance(up_law, Constant1):  # unit marks draw no words
+        # unit marks draw no words and have no cursor
+        if not isinstance(up_law, Constant1):
+            ca.bit_generator.state = rng.bit_generator.state
             up_law.sample_block(rng, n)
-        cd.bit_generator.state = rng.bit_generator.state
-        if k == n and not isinstance(down_law, Constant1):
-            down_law.sample_block(rng, n)
+        if not isinstance(down_law, Constant1):
+            cd.bit_generator.state = rng.bit_generator.state
+            if k == n:
+                down_law.sample_block(rng, n)
     return k
 
 

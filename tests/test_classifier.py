@@ -275,8 +275,8 @@ def test_parabolic_chain_agrees_with_the_mv_closed_form(rho, beta):
 
 
 def test_series_tail_memory_is_bounded():
-    # the tail's 2**17-site blocks evaluate their quadrature grid 4096
-    # rows at a time; a whole block's 2**17 x 8 grid would peak near 50 MB
+    # the tail's quadrature grid is evaluated _CELL_ROWS (1024) sites at
+    # a time; a whole 2**17-site block's 2**17 x 8 grid would peak near 50 MB
     ch = discretize_to_bd(cl_rates(2.0), 2, 10000)
     tracemalloc.start()
     try:
@@ -476,6 +476,21 @@ class TestSeriesCriterion:
         res = bd_series_criterion(ch, 2, tail_extension=900)
         assert res.verdict is Verdict.RECURRENT
         assert res.evidence["rule"] == "divergent-blowup"
+
+    def test_terms_overflowing_inside_a_block_are_a_blowup(self):
+        # mu/lam = 1.5 past the window: the terms pass DBL_MAX about 1750
+        # sites in, long before the block's end, so checkpoints hold inf
+        # terms and sums; that must read as a blow-up, without a warning
+        def rates(ns):
+            return np.full(ns.shape, 0.4), np.full(ns.shape, 0.6)
+
+        ch = BDChain(2, 100, np.full(99, 0.5), np.full(99, 0.5), extend=rates)
+        res = bd_series_criterion(ch, 2, tail_extension=5000)
+        assert res.verdict is Verdict.RECURRENT
+        assert res.evidence["rule"] == "divergent-blowup"
+        assert res.evidence["sum"] == math.inf
+        assert math.inf in [t for _n, _s, t in res.evidence["checkpoints"]]
+        assert res.evidence["p_hats"][-2] == -math.inf  # a finite term, then an inf one
 
     def test_validation(self):
         ch = ratio_family_chain(1.0, 2, 100)

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -15,6 +16,7 @@ from driftlab.experiments import (
     OccupancyEstimate,
     PathOutcome,
     RecurrenceExperiment,
+    _run_path_range,
     balance_residual,
     estimate_occupancy,
     experiment_csv,
@@ -335,6 +337,42 @@ class TestBatchedEngine:
             RateField(CriticalLamperti(c=0.5)), *laws, 10, 300.0, 4.0, 1.0, seed=51, z0=-0.5
         )
         self.check_without_unit_mark_draws(monkeypatch, exp)
+
+    @pytest.mark.parametrize("chunk,draw", [(4, 10), (16, 16), (16, 40)])
+    @pytest.mark.parametrize("laws", range(4), ids=["unit-both", "unit-up", "unit-down", "random"])
+    @pytest.mark.parametrize("horizon", [60.0, 5000.0], ids=["one-block", "two-blocks"])
+    def test_draw_windows_of_other_widths(self, monkeypatch, chunk, draw, laws, horizon):
+        # windows of `draw` events walked `chunk` at a time: at horizon 60
+        # (first blocks of 138) the paths end inside a window; at 5000 a
+        # full 4096-event block ends inside a window of 10 or 40 (4096 =
+        # 409 * 10 + 6 = 102 * 40 + 16) and the paths end in a second one
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        monkeypatch.setattr(simulator, "_DRAW", draw)
+        up, down = (UNIT_PAIRS + [(GammaMean1(k=2.0), UniformMean1(d=0.4))])[laws]
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), up, down, 6, horizon, 6.0, 1.0, seed=52, z0=0.5
+        )
+        counts = first_block_counts(exp)
+        assert (4096 in counts) == (horizon == 5000.0)
+        self.check_without_unit_mark_draws(monkeypatch, exp)
+
+    def test_band_return_memory_is_bounded(self):
+        # the band-return ensemble (400 unit-mark paths to t = 2e4) holds
+        # two (paths x _DRAW) buffers, times and uniforms-then-states, and
+        # traces about 4.4 MB; the bound is the 5.31 MB of the former four
+        # (paths x _CHUNK) buffers, two of them filled with unit marks
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), Constant1(), Constant1(), 400, 2e4, 50.0, 1.0,
+            seed=7,
+        )
+        tracemalloc.start()
+        try:
+            outcomes = _run_path_range(exp, 0, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(outcomes) == 400
+        assert peak <= 5.3e6
 
     def test_more_paths_than_one_sub_batch_at_full_size(self):
         exp = RecurrenceExperiment(

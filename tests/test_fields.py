@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -327,7 +328,13 @@ OFFSET_TABLE = Tabulated(
     x_floor=0.5,
 )
 # A list, not a set: 0.0 == -0.0, so a set would keep only one zero.
-EDGE_X = [s * v for s in (1.0, -1.0) for v in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0, 40.0, 100.0, 1e6)]
+# Past DBL_MAX/4 (about 4.49e307), 4 |x| overflows.
+EDGE_X = [
+    s * v
+    for s in (1.0, -1.0)
+    for v in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0, 40.0, 100.0, 1e6, 4.5e307, 1e308,
+              sys.float_info.max)
+]
 EDGE_T = [0.0, 2.5, 5.0, 60.0, 900.0, 1000.0, 1800.0, 20000.0, 4e4, 1e9]
 
 EXACT_SCALAR_FIELDS = [
@@ -337,6 +344,7 @@ EXACT_SCALAR_FIELDS = [
     CriticalLamperti(c=3.0, x_floor=2.0),
     MeanReverting(kappa=0.3),
     MeanReverting(kappa=5.0, x_floor=0.5),
+    MeanReverting(kappa=0.3, x_floor=1e-300),  # |x| / x_floor overflows from |x| ~ 1.8e8
     DECAYING_TABLE,
     OFFSET_TABLE,
 ]
@@ -397,7 +405,8 @@ def reference_phi(field, x, t):
         v = np.zeros(np.broadcast(x, t).shape)
         return v if v.ndim else float(v)
     if isinstance(field, CriticalLamperti):
-        v = np.broadcast_arrays(field.c / (4.0 * ax), t)[0]
+        # (c / 4) / ax, not the first c / (4 ax), which overflows past DBL_MAX/4
+        v = np.broadcast_arrays((field.c / 4.0) / ax, t)[0]
     elif isinstance(field, PowerLaw):
         if field.beta == 0.0:
             tf = np.broadcast_arrays(np.ones(()), t)[0]
@@ -408,7 +417,8 @@ def reference_phi(field, x, t):
         with np.errstate(over="ignore"):
             v = field.rho * ax**field.alpha * tf
     elif isinstance(field, MeanReverting):
-        m = np.minimum(0.5, np.abs(x) / field.x_floor)
+        with np.errstate(over="ignore"):  # a tiny x_floor: the quotient may be inf
+            m = np.minimum(0.5, np.abs(x) / field.x_floor)
         v = np.broadcast_arrays(-0.5 * field.kappa * np.sign(x) * m, t)[0]
     else:
         qx, qt = np.broadcast_arrays(ax, t)

@@ -268,6 +268,7 @@ def engine_paths(rf, up, down, horizon, seeds, z0):
     parts = [([], []) for _ in seeds]
     for rows, t, z, counts in simulator._batch_chunks(rf, up, down, horizon, seeds, z0):
         assert counts.min() >= 1
+        assert t.shape == z.shape and t.shape[1] <= simulator._CHUNK  # chunks, not windows
         for i, (p, c) in enumerate(zip(rows.tolist(), counts.tolist())):
             parts[p][0].append(t[i, :c].copy())
             parts[p][1].append(z[i, :c].copy())
