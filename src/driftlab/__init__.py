@@ -8,7 +8,7 @@ transient) from the drift field or from a discretized birth-death
 chain, and runs Monte Carlo recurrence/occupancy experiments.
 """
 
-__version__ = "0.3.0"  # draw contract 3 (see simulator and seeding)
+__version__ = "0.4.0"  # draw contract 4 (see simulator and seeding)
 
 from .classifier import (
     BDChain,

@@ -58,7 +58,7 @@ from .experiments import (
 from . import fields
 from .fields import DriftField, JumpLaw, RateField
 from .simulator import (
-    _BLOCK,
+    _ROWS,
     _csv,
     _trajectory_csv,
     _walk_blocks,
@@ -445,7 +445,7 @@ def _record_chunks(rc: RunConfig, result: dict) -> Iterator[str]:
 
     The skeleton is that dumps with a slot for each array ``_sanitize``
     leaves (1-d, all finite, float).  Each array is written in its slot
-    ``_BLOCK`` values at a time, one ``float.__repr__`` per value, as
+    ``_ROWS`` values at a time, one ``float.__repr__`` per value, as
     json writes a float, one per line at the slot's indent plus 2."""
     record = {
         "tool": "driftlab",
@@ -473,8 +473,8 @@ def _record_chunks(rc: RunConfig, result: dict) -> Iterator[str]:
         inner = outer + "  "
         yield head
         sep = "[" + inner
-        for lo in range(0, a.size, _BLOCK):
-            yield sep + ("," + inner).join(map(float.__repr__, a[lo : lo + _BLOCK].tolist()))
+        for lo in range(0, a.size, _ROWS):
+            yield sep + ("," + inner).join(map(float.__repr__, a[lo : lo + _ROWS].tolist()))
             sep = "," + inner
         yield outer + "]"
     yield parts[-1] + "\n"

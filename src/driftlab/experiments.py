@@ -307,8 +307,7 @@ def estimate_occupancy(
     # event order and block by block, so the whole path is never held.
     acc = np.zeros(size)
     t, z = 0.0, z0
-    rng = np.random.default_rng(seed)
-    for times, _jumps, z_after in _event_blocks(rf, up_law, down_law, total_time, rng, z0):
+    for times, _jumps, z_after in _event_blocks(rf, up_law, down_law, total_time, seed, z0):
         starts = np.concatenate(((t,), times[:-1]))
         zvals = np.concatenate(((z,), z_after[:-1]))
         # cells are picked in float, so a state beyond +-2**63 is never cast

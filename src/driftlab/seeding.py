@@ -1,30 +1,26 @@
-"""Per-path seed derivation.
+"""Per-path seeds and the walk's two streams.
 
-Each simulated path owns an independent RNG stream seeded by mixing the
-master seed with the path index through splitmix64:
-``mix64(mix64(master) ^ index)`` (draw contract 3).  The master is mixed
-before the index is folded in, so two masters share a path seed only
-when ``mix64(m1) ^ mix64(m2)`` is below the path count, odds of about
-n / 2**64; folding the raw master in, as contract 2 did, made masters
-that differ only in bits below ``n_paths`` (1 and 7 under 400 paths)
-share one ensemble.  The construction is order-free, so paths can be
-generated in any order (or on any worker) and still reproduce
-byte-identically.
+Path i under master seed m has seed ``mix64(mix64(m) ^ i)`` (splitmix64's
+finalizer, draw contract 3), so two masters share a path seed only when
+``mix64(m1) ^ mix64(m2)`` is below the path count, and paths can be made
+in any order, or on any worker, and still reproduce byte for byte.
 
-A path's stream is the one ``np.random.default_rng(path_seed(master,
-i))`` starts, but building a generator per path costs about 20 us, most
-of it numpy's ``SeedSequence`` hash.  ``pcg64_states`` computes the same
-starting states for a whole span of seeds at once: the hash's uint32
-arithmetic runs as array operations across the span, and PCG64's
-128-bit seeding step as Python integers.  An ensemble then positions one
-reused generator per path through ``bit_generator.state``.  Every call
-checks its first state against a real ``default_rng``, so a numpy whose
-seeding differs fails loudly instead of changing every stream.
+A path seeded with s reads stream A, the one ``np.random.default_rng(s)``
+starts, and a walk path also stream B, 2**96 words further on (draw
+contract 4).  ``pcg64_states`` computes A's starting states for a span of
+seeds at once, about 3 us a path against 20 for a ``default_rng``:
+``SeedSequence``'s uint32 hash runs as array operations and PCG64's
+128-bit seeding step as Python integers.  ``stream_b_states`` maps them to
+B's by F. B. Brown's LCG jump-ahead (1994): n steps of s -> M s + inc are
+s -> A s + C inc (mod 2**128), with A and C fixed by n.  Each checks its
+first result against numpy's own (``default_rng``, ``advance``), so a
+numpy whose generator differs fails loudly instead of changing every
+stream.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +35,22 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 # PCG64's 128-bit LCG multiplier
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_JUMP = 1 << 96  # words from a path's stream A to its stream B
+
+
+def _lcg_jump(mult: int, n: int) -> tuple[int, int]:
+    """(A, C) such that n steps of s -> mult * s + inc take s to A * s +
+    C * inc, mod 2**128: square-and-multiply over the bits of n."""
+    a, c, step_a, step_c = 1, 0, mult, 1
+    while n:
+        if n & 1:
+            a, c = (a * step_a) & _MASK128, (c * step_a + step_c) & _MASK128
+        step_a, step_c = (step_a * step_a) & _MASK128, (step_c * (step_a + 1)) & _MASK128
+        n >>= 1
+    return a, c
+
+
+_JUMP_MULT, _JUMP_ADD = _lcg_jump(_PCG64_MULT, _JUMP)
 
 
 def check_seed(seed: int) -> None:
@@ -149,3 +161,33 @@ def pcg64_states(seeds: Sequence[int] | np.ndarray) -> list[dict]:
         raise RuntimeError("derived PCG64 state differs from numpy's default_rng; "
                            "numpy's seeding has changed")
     return states
+
+
+def stream_b_states(states: Iterable[dict]) -> Iterator[dict]:
+    """Stream B's starting state for each PCG64 state of ``states`` (as
+    ``pcg64_states`` gives them), the state advanced ``2**96`` words, one
+    at a time so that an ensemble never holds them all.  Raises
+    ``RuntimeError`` if the first differs from numpy's
+    ``bit_generator.advance``."""
+    for i, st in enumerate(states):
+        s, inc = st["state"]["state"], st["state"]["inc"]
+        out = {
+            "bit_generator": "PCG64",
+            "state": {"state": (_JUMP_MULT * s + _JUMP_ADD * inc) & _MASK128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if i == 0:
+            bg = np.random.PCG64(0)
+            bg.state = st
+            bg.advance(_JUMP)
+            if out != bg.state:
+                raise RuntimeError("stream B's state differs from numpy's PCG64 advance")
+        yield out
+
+
+def streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The walk's streams A and B for path seed ``seed``."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    b.bit_generator.advance(_JUMP)
+    return a, b

@@ -10,76 +10,39 @@ waits, then split each event up/down with probability lambda vs mu at
 the event time.  No proposal is ever rejected, so the simulation is
 exact and consumes a fixed number of draws per event.
 
-Walk draw recipe (version 2) per block of n events, in order: n
-inter-event waits, n direction uniforms, n up-marks, n down-marks.  The
-first block of a path holds n = ``_first_block(horizon)`` events, which
-is min(4096, ceil(h + 8 sqrt(h) + 16)) for a horizon h >= 0: the event
-count by h is Poisson(h), so a second block is needed only past about 8
-standard deviations.  Every later block holds 4096.  For
-h >= 3600 the rule gives 4096, so those paths are the version 1
-recipe's (4096 events in every block) bit for bit.  The recipe is part
-of the determinism contract: a (seed, config) pair reproduces
-trajectories byte-for-byte.  The block whose waits cross the
-horizon (k < n events) is the path's last, and nothing is drawn after
-it, so it is drawn lazily: its k uniforms (the other n - k are skipped
-with ``advance``, one 64-bit word each), its full up-mark block (a law
-may use a variable number of words per mark, which positions the down
-marks) and its k down marks.  The values used are the full recipe's.
+Walk draw contract 4.  A path seeded with s reads two streams
+(``seeding.streams``).  Stream A, ``np.random.default_rng(s)``, gives the
+inter-event waits, one standard exponential per event, in order.  Stream
+B, the same PCG64 stream 2**96 words on, gives per block of ``_BLOCK``
+(256) events the block's direction uniforms, then its up marks, then its
+down marks; a ``Constant1`` side draws nothing.  The block in which the
+waits cross the horizon holds only its k < ``_BLOCK`` events and ends the
+path.  So an event's draws do not depend on how an engine groups them,
+and ``_BLOCK`` is the only size in the record; a (seed, config) pair
+reproduces its trajectories byte for byte.
 
-Two engines read the recipe.  ``_event_blocks`` runs one path with the
-scalar ``scalar_phi`` closure; single-path commands and occupancy use
-it.  With m = ``drift.phi_bound(t)`` at the block's start time t, a
-uniform u < 0.5 - m is an up-step and u >= 0.5 + m a down-step whatever
-phi is, because |phi| <= m from t on and rounding is monotone
-(fl(0.5 - m) <= fl(0.5 + phi) <= fl(0.5 + m)).  So one vector pass sets
-every direction as if phi were 0 (u < 0.5), and a Python loop visits
-only the open events, u in [0.5 - m, 0.5 + m): at each it takes the
-state as the left fold z + j_p + ... + j_(i-1) of the settled stretch
-since the last open event, compares u with 0.5 + phi(z, t) and writes
-the decided jump back.  A field with m = 0 (``Zero``) has no open
-event and never calls the closure.  One cumsum seeded with the carried
-z then gives z_after, which is the same left fold, so the path is the
-phi-on-every-event loop's bit for bit.
+Two engines read the contract and agree bit for bit wherever ``phi`` and
+``scalar_phi`` agree, which they do for every family except ``PowerLaw``
+(numpy's ``power`` and libm's ``pow`` differ by up to 4 ulp), where a
+direction flips only if a uniform lands within those ulp of its
+threshold.  ``_event_blocks`` runs one path: it reads A in passes of
+``_PASS`` blocks and B block by block, and splits each pass with the
+scalar ``scalar_phi`` closure.  With m = ``drift.phi_bound(t)`` at the
+pass's start time t, a uniform u < 0.5 - m is an up-step and u >= 0.5 + m
+a down-step whatever phi is, because |phi| <= m from t on and rounding is
+monotone.  So one vector pass sets every direction as if phi were 0, and
+a Python loop visits only the open events, u in [0.5 - m, 0.5 + m),
+folding the settled stretch since the last one onto the state, left to
+right, before it calls phi.  One cumsum seeded with the carried z then
+gives z_after, the same left fold.  ``_batch_chunks`` runs an ensemble in
+lockstep, one event of every live path per step, with the vectorized
+``phi`` evaluated across paths (see its docstring).
 
-``_batch_chunks`` runs an ensemble in lockstep, one event of every live
-path per step, with the vectorized ``phi`` evaluated across paths; the
-band-return experiment and the second-moment check use it, and the
-experiment's worker processes each run one contiguous span of paths.
-Paths run in sub-batches of at most ``_BATCH`` (512).  A first block of
-n <= ``_CHUNK`` (128) events, such as the 25 of a check at sigma 1, is
-drawn whole, path by path, by ``_draw_rows``: one generator, set to
-each path's start, draws the n waits, n uniforms, n up marks and n down
-marks straight into right-sized rows, ``_CHUNK`` paths at a time, and
-the event counts come from the times.  A larger block is drawn through
-each path's own generator, which at the block start positions cursor
-generators at the block's waits, uniforms, up marks and down marks
-(through ``bit_generator.state``); the cursors then draw the block
-``_DRAW`` (256) events per generator call into buffers reused across
-windows, each window walked and yielded ``_CHUNK`` events at a time, so
-the engine holds O(paths x 256) draws, never a (paths, 4096) block.  The
-path generators and cursors are made only when a block needs them.
-``Constant1`` marks draw no generator words, so a unit-mark side has no
-buffer and no cursor, and its steps are the scalars +1 (up) and -1
-(down).  The engine's paths equal ``_event_blocks``' bit for bit wherever
-``phi`` and ``scalar_phi`` agree, which they do for every family except
-``PowerLaw`` (numpy's ``power`` and libm's ``pow`` differ by up to 4
-ulp), where a direction flips only if a uniform lands within those ulp
-of its threshold.
-
-A path seeded with s draws the stream ``np.random.default_rng(s)``
-starts; path i of an ensemble under master seed m has s =
-``path_seed(m, i)`` = mix64(mix64(m) ^ i).  Single-path entry points
-(``simulate_walk``, ``simulate_compound_poisson``, occupancy) build that
-generator.  The ensembles (``_batch_chunks`` and the martingale check)
-instead set reused generators to the states ``pcg64_states`` derives
-for a sub-batch of paths at a time, which costs about 3 us a path
-instead of about 20 for a new generator, and draw the same bits.
-
-Compound-Poisson draw recipe (version 3).  A path thins a proposal
-clock of rate ``rate_bound``.  It draws proposals in blocks of n: n
-waits, then n uniforms, then n marks, with n =
-``_first_block(rate_bound * horizon)`` for the first block and
-``_BLOCK`` after it.  Proposal times are the carried left fold
+Compound-Poisson draw recipe 3.  A path thins a proposal clock of rate
+``rate_bound`` and reads the one stream ``default_rng(s)``.  It draws
+proposals in blocks of n: n waits, then n uniforms, then n marks, with n
+= ``_first_block(rate_bound * horizon)`` for the first block and
+``_CP_BLOCK`` after it.  Proposal times are the carried left fold
 t + w / rate_bound, computed as a cumsum seeded with the carried t;
 proposal i is accepted iff t_i <= horizon and u_i * rate_bound <=
 rate(t_i), and then carries mark i.  A block whose last proposal lies
@@ -117,7 +80,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .fields import Constant1, JumpLaw, RateField, Zero
-from .seeding import check_seed, path_seeds, pcg64_states
+from .seeding import check_seed, path_seeds, pcg64_states, stream_b_states, streams
 
 __all__ = [
     "Trajectory",
@@ -133,10 +96,12 @@ __all__ = [
     "trajectory_csv",
 ]
 
-_BLOCK = 4096  # events per draw block after a path's first
+_BLOCK = 256  # events per stream-B block: walk draw contract 4
+_PASS = 16  # stream-B blocks per stream-A pass of _event_blocks
 _CHUNK = 128  # events per lockstep chunk of _batch_chunks
-_DRAW = 256  # events per generator call of _batch_chunks' cursors
 _BATCH = 512  # paths per lockstep sub-batch of _batch_chunks
+_CP_BLOCK = 4096  # proposals per compound-Poisson block after a path's first
+_ROWS = 4096  # rows or values per rendered piece of CSV and JSON output
 
 _GL = list(zip(*(v.tolist() for v in np.polynomial.legendre.leggauss(16))))
 
@@ -201,31 +166,17 @@ def _walk_blocks(
     if not math.isfinite(z0):
         raise ValueError("z0 must be finite")
     check_seed(seed)
-    return _event_blocks(rf, up_law, down_law, horizon, np.random.default_rng(seed), z0)
+    return _event_blocks(rf, up_law, down_law, horizon, seed, z0)
 
 
 def _first_block(horizon: float) -> int:
-    """Events in a path's first draw block (walk recipe 2), or proposals
-    in a compound-Poisson path's (recipe 3, at horizon rate_bound *
-    horizon): at least 16, and ``_BLOCK`` from horizon 3600 on."""
-    if horizon >= 3600.0:  # where the rule reaches _BLOCK; also inf
-        return _BLOCK
+    """Proposals in a compound-Poisson path's first block (recipe 3, at
+    horizon rate_bound * horizon), and the waits of the lockstep walk's
+    first window (capped at ``_BLOCK``): min(4096, ceil(h + 8 sqrt(h) +
+    16)), since the count by h is Poisson(h)."""
+    if horizon >= 3600.0:  # where the rule reaches _CP_BLOCK; also inf
+        return _CP_BLOCK
     return math.ceil(horizon + 8.0 * math.sqrt(horizon) + 16.0)
-
-
-def _block_times(
-    rng: np.random.Generator, t: float, horizon: float, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Draw a block's n waits and return its event times up to the
-    horizon, as a view of ``out`` (at least n + 1 entries, reused by the
-    caller) when it is given.  Seeding the cumsum with the carried time t
-    makes every partial sum the exact left fold ``t + dt`` of a scalar
-    loop."""
-    tb = np.empty(n + 1) if out is None else out[: n + 1]
-    tb[0] = t
-    rng.standard_exponential(out=tb[1:])
-    np.cumsum(tb, out=tb)
-    return tb[1 : 1 + int(np.searchsorted(tb[1:], horizon, side="right"))]
 
 
 def _event_blocks(
@@ -233,32 +184,42 @@ def _event_blocks(
     up_law: JumpLaw,
     down_law: JumpLaw,
     horizon: float,
-    rng: np.random.Generator,
+    seed: int,
     z0: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The path's events as (times, signed jumps, z_after) arrays, one
-    non-empty tuple per draw block, drawn from ``rng`` as positioned at
-    the path's start.  The blocks' sizes and the lazy final block are
-    the module docstring's recipe."""
+    """The path of seed ``seed`` as (times, signed jumps, z_after) arrays,
+    one non-empty tuple per pass of ``_PASS * _BLOCK`` waits."""
     if horizon <= 0.0:
         return
+    rng_a, rng_b = streams(seed)
     drift = rf.drift
     phi = drift.scalar_phi()
+    drawn = [(law, i) for i, law in enumerate((up_law, down_law)) if not isinstance(law, Constant1)]
+    n = _PASS * _BLOCK
+    # a block is its uniforms, then the marks of each random side, so
+    # with unit marks on both sides a pass's blocks are one run of uniforms
+    step = _BLOCK if drawn else n
     t = 0.0
     z = z0
-    n = _first_block(horizon)
     while True:
-        tb = _block_times(rng, t, horizon, n)
-        k = tb.size
+        # seeding the cumsum with the carried time makes every partial
+        # sum the left fold t + dt
+        tb = np.empty(n + 1)
+        tb[0] = t
+        rng_a.standard_exponential(out=tb[1:])
+        np.cumsum(tb, out=tb)
+        k = int(np.searchsorted(tb[1:], horizon, side="right"))
         if k == 0:
             return
-        us = rng.random(k)
-        if k < n:
-            # every uniform is one 64-bit word, so skip the unused ones
-            rng.bit_generator.advance(n - k)
-        ups = up_law.sample_block(rng, n)[:k]
-        dns = down_law.sample_block(rng, k)
-        # |phi| <= m from the block's start on, so a uniform outside
+        tb = tb[1 : 1 + k]
+        us, marks = np.empty(k), np.ones((2, k))
+        for j0 in range(0, k, step):
+            j1 = min(j0 + step, k)
+            rng_b.random(out=us[j0:j1])
+            for law, i in drawn:
+                law.sample_block(rng_b, j1 - j0, out=marks[i, j0:j1])
+        ups, dns = marks
+        # |phi| <= m from the pass's start on, so a uniform outside
         # [0.5 - m, 0.5 + m) settles the direction without phi; only the
         # open events in between run in Python
         sj = np.where(us < 0.5, ups, -dns)
@@ -290,7 +251,6 @@ def _event_blocks(
         yield tb, sj, zb
         if k < n:
             return
-        n = _BLOCK
 
 
 def _draw_rows(
@@ -322,12 +282,6 @@ def _at_states(
         yield rng
 
 
-def _cut(bufs: Sequence[np.ndarray | None], rows: int, c0: int, c1: int) -> list:
-    """The first ``rows`` rows and columns c0..c1-1 of each buffer; a
-    unit side's missing buffer stays None."""
-    return [None if b is None else b[:rows, c0:c1] for b in bufs]
-
-
 def _batch_chunks(
     rf: RateField,
     up_law: JumpLaw,
@@ -336,9 +290,8 @@ def _batch_chunks(
     seeds: Sequence[int],
     z0: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The paths of ``_event_blocks`` from ``default_rng(s)`` for each s
-    of ``seeds``, advanced in lockstep, one event of every live path per
-    step.
+    """The paths of ``_event_blocks`` for each seed of ``seeds``, advanced
+    in lockstep, one event of every live path per step.
 
     Yields ``(rows, times, z_after, counts)`` per chunk of at most
     ``_CHUNK`` events: row i of the ``times`` and ``z_after`` views holds
@@ -346,52 +299,40 @@ def _batch_chunks(
     columns past a row's count are padding.  The views are overwritten
     by the next chunk, so a consumer reduces them before asking for it.
 
-    Paths run in sub-batches of ``_BATCH``.  A first block of n <=
-    ``_CHUNK`` events is drawn whole by one generator set to each path's
-    derived starting state, into right-sized rows (n waits, n uniforms,
-    then n marks of each side whose marks are random) ``_CHUNK`` paths at
-    a time, and its event counts come from its times.  A path that goes
-    on past such a block, or whose first block is larger, gets a pooled
-    generator set to its starting state (and moved past a first block
-    drawn whole), which at every block start positions its cursor
-    generators (waits, direction uniforms, up marks, down marks).  The
-    cursors draw the block in windows of ``_DRAW`` events, one generator
-    call per path and stream, into buffers reused across windows, and
-    each window is walked and yielded ``_CHUNK`` columns at a time; so
-    memory grows with ``_BATCH * _DRAW``, not with the block.  At each
-    block start the live paths are put in order of their event counts,
-    longest first, so the paths in any window or chunk of the block are
-    a prefix of the rows.  The pooled generators and cursors are made
-    the first time a path needs them.  A ``Constant1`` side keeps no
+    Paths run in sub-batches of ``_BATCH``, window by window.  A window
+    draws each live path's waits from stream A into a row, counts its
+    events with one cumsum, puts the rows in order of their counts,
+    longest first (so the paths in any chunk are a prefix of the rows),
+    draws exactly those events' stream-B values and walks them
+    ``_CHUNK`` columns at a time.  The first window holds
+    ``min(_first_block(horizon), _BLOCK)`` waits, read through one shared
+    pair of generators set to each path's derived starting states.  A
+    path that fills it starts again on its own pair, made at that point,
+    in windows of ``_BLOCK`` waits, each of which reads one whole B block
+    or the path's last.  The buffers are reused from window to window, so
+    memory grows with ``_BATCH * _BLOCK``.  A ``Constant1`` side keeps no
     buffer and draws nothing: its steps are the scalars +1 (up) and -1
-    (down).  The field is evaluated across paths with the vectorized
-    ``phi``.
+    (down).
     """
     if horizon <= 0.0:
         return
     phi = None if isinstance(rf.drift, Zero) else rf.drift.phi
     width = min(_BATCH, len(seeds))
-    # A new PCG64 costs ~10 us and ~2 kB, so generators are made once and
-    # positioned through their state: one draws whole first blocks, and
-    # the per-path generators and their cursors are made when a path
-    # first goes past its first block or that block needs cursors.  They
-    # are seeded from one prebuilt SeedSequence, which halves that cost;
-    # the seed is never drawn from.
+    # A new PCG64 costs ~10 us and ~2 kB, so a path gets its own pair only
+    # when it fills its first window; the pairs are kept for the next
+    # sub-batch, and seeded from one prebuilt SeedSequence (which halves
+    # that cost) that is never drawn from.
     blank = np.random.SeedSequence(0)
-    rng = np.random.Generator(np.random.PCG64(blank))
-    rngs: list[np.random.Generator] = []
-    pool: list[list[np.random.Generator | None]] = []
+    shared_a, shared_b = (np.random.Generator(np.random.PCG64(blank)) for _ in range(2))
+    pool: list[list[np.random.Generator]] = []
     unit_up, unit_dn = isinstance(up_law, Constant1), isinstance(down_law, Constant1)
-    bufs: dict[tuple[int, int], list] = {}
-    waits = np.empty(_BLOCK + 1)  # _position's reused block of waits
-
-    def buffers(rows: int, cols: int) -> list:
-        # waits (then times), uniforms (then z_after), up marks, down
-        # marks (negated by the walk); a unit side has none
-        if (rows, cols) not in bufs:
-            bufs[rows, cols] = [None if unit else np.zeros((rows, cols))
-                                for unit in (False, False, unit_up, unit_dn)]
-        return bufs[rows, cols]
+    # waits (then times) and uniforms (then z_after), which trade buffers
+    # when the rows are put in order; up marks and down marks (negated by
+    # the walk), none for a unit side.  A window of c columns uses the
+    # first rows x c entries, so a short first window touches little of
+    # them.
+    bufs = [None if unit else np.zeros(width * _BLOCK) for unit in (False, False, unit_up, unit_dn)]
+    drawn = [(law, j) for j, law in enumerate((up_law, down_law)) if bufs[2 + j] is not None]
 
     def walk(rows, counts, t, z, a, d):
         # the rows' times are in t; place their first counts[i] events
@@ -419,108 +360,56 @@ def _batch_chunks(
         z_carry[rows] = z[last]
         return rows + lo, t, z, counts
 
+    def window(paths, cols, a_rngs, b_rngs, first=False):
+        # one window of `cols` waits for the sub-batch's `paths`, drawn
+        # from a_rngs in order and walked; b_rngs(rows) gives the rows'
+        # B generators.  Returns the paths that fill it.
+        n = paths.size
+        t = bufs[0][: n * cols].reshape(n, cols)
+        for row, rng in zip(t, a_rngs):
+            rng.standard_exponential(out=row)
+        t[:, 0] += t_carry[paths]
+        np.cumsum(t, axis=1, out=t)
+        k = np.count_nonzero(t <= horizon, axis=1)
+        go = paths[k == cols]
+        if first:
+            k[k == cols] = 0  # these start again on their own generators
+        if np.any(k[1:] > k[:-1]):
+            order = np.argsort(-k, kind="stable")  # longest first
+            # a clipped take writes straight into `out`, unbuffered
+            np.take(t, order, axis=0, out=bufs[1][: n * cols].reshape(n, cols), mode="clip")
+            bufs[0], bufs[1] = bufs[1], bufs[0]
+            paths, k = paths[order], k[order]
+        rows = int(np.count_nonzero(k))
+        t, u, *marks = (None if b is None else b[: n * cols].reshape(n, cols)[:rows] for b in bufs)
+        for i, c, rng in zip(range(rows), k.tolist(), b_rngs(paths[:rows].tolist())):
+            rng.random(out=u[i, :c])
+            for law, j in drawn:
+                law.sample_block(rng, c, out=marks[j][i, :c])
+        for c0 in range(0, int(k[0]) if rows else 0, _CHUNK):
+            counts = np.minimum(k - c0, _CHUNK)
+            m = int(np.count_nonzero(counts > 0))
+            yield walk(paths[:m], counts[:m],
+                       *(None if b is None else b[:m, c0 : c0 + _CHUNK] for b in (t, u, *marks)))
+        return go
+
     for lo in range(0, len(seeds), _BATCH):
         states = pcg64_states(seeds[lo : lo + _BATCH])
-        live = np.arange(len(states))
         t_carry = np.zeros(len(states))
         z_carry = np.full(len(states), z0, dtype=float)
-        n = _first_block(horizon)  # every live path is in the same block
-        whole = n <= _CHUNK
-        if whole:
-            # the block is one chunk: draw it whole, path by path, into
-            # right-sized rows, _CHUNK paths at a time, then count its
-            # events from the times
-            k = np.empty(live.size, dtype=int)
-            for g in range(0, live.size, _CHUNK):
-                group = live[g : g + _CHUNK]
-                t, u, a, d = _cut(buffers(min(width, _CHUNK), n), group.size, 0, n)
-                _draw_rows(_at_states(rng, states[g : g + _CHUNK]), t, u,
-                           ((up_law, a), (down_law, d)))
-                np.cumsum(t, axis=1, out=t)
-                kg = k[g : g + _CHUNK] = np.count_nonzero(t <= horizon, axis=1)
-                if kg.any():
-                    # rows without events are walked too (their carries
-                    # are never read again) and left out of what is yielded
-                    rows, t, z, counts = walk(group, kg, t, u, a, d)
-                    on = kg > 0
-                    yield (rows, t, z, counts) if on.all() else (rows[on], t[on], z[on], counts[on])
-            live = live[k == n]
-        if live.size and not rngs:
-            rngs = [np.random.Generator(np.random.PCG64(blank)) for _ in range(width)]
-            # cursors for waits, uniforms and each side whose marks are random
-            pool = [[np.random.Generator(np.random.PCG64(blank)) if need else None
-                     for need in (True, True, not unit_up, not unit_dn)] for _ in range(width)]
-        for p in live.tolist():
-            rngs[p].bit_generator.state = states[p]
-            if whole:  # move past the first block, drawn whole above
-                _position(rngs[p], pool[p], 0.0, horizon, n, up_law, down_law, waits)
-        if whole:
-            n = _BLOCK
+        live = yield from window(
+            np.arange(len(states)), min(_first_block(horizon), _BLOCK), _at_states(shared_a, states),
+            lambda rows: _at_states(shared_b, stream_b_states(states[p] for p in rows)), first=True,
+        )
+        pool += [[np.random.Generator(np.random.PCG64(blank)) for _ in range(2)]
+                 for _ in range(live.size - len(pool))]
+        own = dict(zip(live.tolist(), pool))
+        for p, b_state in zip(live.tolist(), stream_b_states(states[p] for p in live.tolist())):
+            own[p][0].bit_generator.state = states[p]
+            own[p][1].bit_generator.state = b_state
         while live.size:
-            k = np.array([_position(rngs[p], pool[p], t_carry[p], horizon, n, up_law, down_law,
-                                    waits) for p in live.tolist()])
-            order = np.argsort(-k, kind="stable")  # longest first
-            live, k = live[order], k[order]
-            for j0 in range(0, int(k[0]), _DRAW):
-                drawn = np.minimum(k - j0, _DRAW)
-                nr = int(np.count_nonzero(drawn > 0))
-                rows, drawn, cols = live[:nr], drawn[:nr], int(drawn[0])
-                bs = t, u, a, d = _cut(buffers(width, _DRAW), nr, 0, cols)
-                for i, (p, c) in enumerate(zip(rows.tolist(), drawn.tolist())):
-                    cw, cu, ca, cd = pool[p]
-                    cw.standard_exponential(out=t[i, :c])
-                    cu.random(out=u[i, :c])
-                    if a is not None:
-                        up_law.sample_block(ca, c, out=a[i, :c])
-                    if d is not None:
-                        down_law.sample_block(cd, c, out=d[i, :c])
-                    if c < cols:
-                        # zero waits and jumps keep the ignored lanes finite
-                        for b in bs:
-                            if b is not None:
-                                b[i, c:] = 0.0
-                t[:, 0] += t_carry[rows]
-                np.cumsum(t, axis=1, out=t)
-                for c0 in range(0, cols, _CHUNK):
-                    counts = np.minimum(drawn - c0, _CHUNK)
-                    m = int(np.count_nonzero(counts > 0))
-                    yield walk(rows[:m], counts[:m], *_cut(bs, m, c0, c0 + _CHUNK))
-            # a block short of its n events is the path's last, however
-            # close its last event is to the horizon
-            live = live[k == n]
-            n = _BLOCK
-
-
-def _position(
-    rng: np.random.Generator,
-    cursors: list[np.random.Generator],
-    t: float,
-    horizon: float,
-    n: int,
-    up_law: JumpLaw,
-    down_law: JumpLaw,
-    waits: np.ndarray,
-) -> int:
-    """Put the cursors at the starts of the n-event block's waits and
-    uniforms, and of the up and down marks of each side whose marks are
-    random; move ``rng`` past the block when the path goes on after it.
-    The block's times are counted in ``waits``, a reused buffer of at
-    least n + 1 entries.  Returns the block's event count k."""
-    cw, cu, ca, cd = cursors
-    cw.bit_generator.state = rng.bit_generator.state
-    k = _block_times(rng, t, horizon, n, waits).size
-    if k:
-        cu.bit_generator.state = rng.bit_generator.state
-        rng.bit_generator.advance(n)  # one 64-bit word per uniform
-        # unit marks draw no words and have no cursor
-        if not isinstance(up_law, Constant1):
-            ca.bit_generator.state = rng.bit_generator.state
-            up_law.sample_block(rng, n)
-        if not isinstance(down_law, Constant1):
-            cd.bit_generator.state = rng.bit_generator.state
-            if k == n:
-                down_law.sample_block(rng, n)
-    return k
+            live = yield from window(live, _BLOCK, (own[p][0] for p in live.tolist()),
+                                     lambda rows: (own[p][1] for p in rows))
 
 
 def simulate_compound_poisson(
@@ -579,7 +468,7 @@ def _compound_poisson(
         if tb[-1] > horizon or (times[-1].size and times[-1][-1] > stop):
             return np.concatenate(times), np.concatenate(marks)
         t = float(tb[-1])
-        n = _BLOCK
+        n = _CP_BLOCK
 
 
 def _accepted(
@@ -936,15 +825,15 @@ def _csv(
 ) -> Iterator[str]:
     """``header``, then the lines ``row`` renders from each index of each
     block's equal-length columns.  Rows are rendered and yielded
-    ``_BLOCK`` at a time from the block's plain Python values, so a
+    ``_ROWS`` at a time from the block's plain Python values, so a
     consumer that writes each piece holds one piece's values and text at
     a time.  ``row`` is a function rather than a ``str.format``
     template, which is parsed again for every row: on a 2e5-row path
     (Python 3.11) that took about 15% more time than an f-string."""
     yield header
     for cols in blocks:
-        for lo in range(0, len(cols[0]), _BLOCK):
-            yield "".join(map(row, *(c[lo : lo + _BLOCK].tolist() for c in cols)))
+        for lo in range(0, len(cols[0]), _ROWS):
+            yield "".join(map(row, *(c[lo : lo + _ROWS].tolist() for c in cols)))
 
 
 def _trajectory_csv(blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[str]:

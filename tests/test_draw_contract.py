@@ -10,9 +10,11 @@ sha256 of the record as written, with its output path and its version
 masked.  Records carry no run time (the experiment's is left out of the
 file), so nothing else needs masking.
 
-The config block is part of the bytes too: dropping ``field.t_proxy``
-moved all eight digests within 0.3.0, each record being the old one
-without its ``"t_proxy"`` line.
+Draw contract 4 (0.4.0) moved the ``simulate``, ``wald`` and
+``experiment`` records and left the ``martingale`` ones as they were.
+The ``experiment`` JSON record holds only the ensemble's summary, which
+at seed 2**64 - 1 came out the same under both contracts, so the
+``experiment_csv`` records (one row per path) pin the paths themselves.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ import pytest
 import driftlab
 from driftlab.cli import main
 
-VERSION = "0.3.0"
+VERSION = "0.4.0"
 
 UNIT = "jumps: {up: {family: constant1}, down: {family: constant1}}\n"
 GAMMA_EXP = "jumps: {up: {family: gamma_mean1, k: 2.0}, down: {family: exponential_mean1}}\n"
@@ -38,26 +40,32 @@ CONFIGS = {
     "experiment": "command: experiment\nworkers: 1\nfield: {family: critical_lamperti, c: 0.5}\n"
                   + UNIT + "experiment: {n_paths: 30, horizon: 60.0, level: 3.0, band: 1.0}\n",
 }
+CONFIGS["experiment_csv"] = CONFIGS["experiment"] + "output: {format: csv}\n"
 SEEDS = (7, 2**64 - 1)
 
 DIGESTS = {
-    ("simulate", 7): "693f52dec40a93fd10a4f0bfb7928b9649d1d7717d44419c28bb73872b2c0d5f",
-    ("simulate", 2**64 - 1): "b841eb83b8071ec3800e57a721a9ff1a50ea3434478f780f33010ae548c49f5d",
-    ("wald", 7): "4bc6c04dea3d8fb3abd624058c08f07f1884dd6da34274e2196926dea0d7833c",
-    ("wald", 2**64 - 1): "124352b4bdc120792822de674b7b6db640c8461e459e23a6193ed2f3c96101f3",
+    ("simulate", 7): "4f69de9e6307fee81ec7058f871bfbc5be36e84dc07efb31430f82b2cd8b8108",
+    ("simulate", 2**64 - 1): "26e848f912de7224ea4821192fb3f904a3e81c58953efdf274f21a37eeca4127",
+    ("wald", 7): "639bc815a4fba85d0182544971f378e3f177b0938f1f14c7c3bcfc4c138a7627",
+    ("wald", 2**64 - 1): "620143655be981872652e5262f689806b5f098a8ad08790bff884c8acb12d239",
     ("martingale", 7): "58e8c6e40e91ec6f5d429914c9dfe7c087ef899efbc6b3aff143fa9d0285e209",
     ("martingale", 2**64 - 1): "97535b03aa116c210253c3019e3a69ffe974f059afb6455283a66d644c8eccf7",
-    ("experiment", 7): "2c9ca3af24783d71a5047ee28cc7bc6a3fe4187a8d573e329fead57d646e249f",
+    ("experiment", 7): "50a87ff1851ac5333a95fa9b70eb210ededfb316dbed7b84d5b693f7ccbaf564",
     ("experiment", 2**64 - 1): "161fba803c2657de5b99bdbd82fd51b1abdc31d6feb59b5229c9dff31c8cda4f",
+    ("experiment_csv", 7): "70c10b4b23240288712afcea84122b8e41b513638a0370b5762ab97c10f5fb8e",
+    ("experiment_csv", 2**64 - 1): "8fba6f50c1498a16613872d46fa4d99fa424acbb759da300d03499fd1b3d47fe",
 }
 
 
 def masked_record(tmp_path, name: str, seed: int) -> bytes:
     cfg = tmp_path / f"{name}.yaml"
-    cfg.write_text(CONFIGS[name] + "output: {format: json}\n")
-    out = tmp_path / f"{name}-{seed}.json"
+    csv = "format: csv" in CONFIGS[name]
+    cfg.write_text(CONFIGS[name] + ("" if csv else "output: {format: json}\n"))
+    out = tmp_path / f"{name}-{seed}.{'csv' if csv else 'json'}"
     assert main([str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
     text = out.read_text()
+    if csv:  # no path, version or run time in a CSV
+        return text.encode()
     assert "runtime" not in text
     for key, value in (("path", str(out)), ("version", driftlab.__version__)):
         field = f'"{key}": "{value}"'

@@ -215,23 +215,23 @@ UNIT_PAIRS = [
 UNIT_PAIR_IDS = ["unit-both", "unit-up", "unit-down"]
 
 
-def first_block_times(seed, n):
-    """Event times of the n-event first draw block of the path with this
-    seed (n = ``simulator._first_block(horizon)`` in the recipe)."""
+def a_times(seed, n):
+    """The path's first n event times, were they all inside the horizon:
+    the partial sums of the first n waits of its stream A."""
     waits = np.random.default_rng(seed).exponential(1.0, n)
     return np.cumsum(np.concatenate(((0.0,), waits)))[1:]
 
 
-def first_block_counts(exp):
-    n = simulator._first_block(exp.horizon)
+def a_counts(exp, n=4096):
+    """Each path's events among the first n waits of its stream A."""
     return [
-        int(np.searchsorted(first_block_times(path_seed(exp.seed, i), n), exp.horizon, "right"))
+        int(np.searchsorted(a_times(path_seed(exp.seed, i), n), exp.horizon, "right"))
         for i in range(exp.n_paths)
     ]
 
 
-EXACT_4096TH = float(first_block_times(path_seed(43, 0), 4096)[-1])
-EXACT_8TH = float(first_block_times(path_seed(48, 0), 8)[-1])
+EXACT_4096TH = float(a_times(path_seed(43, 0), 4096)[-1])
+EXACT_8TH = float(a_times(path_seed(48, 0), 8)[-1])
 
 
 class TestBatchedEngine:
@@ -244,13 +244,13 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("field", ENGINE_FIELDS, ids=lambda f: type(f).__name__)
     @pytest.mark.parametrize("law", range(len(ENGINE_LAWS)))
     def test_fields_and_laws_across_the_last_chunk(self, field, law):
-        # about 4070 events per path: most paths end in the last chunk of
-        # their first block, the rest fill it and end early in a second one
+        # about 4070 events per path: most end in the last chunk of their
+        # 16th block, the rest fill it and end early in a 17th
         up, down = ENGINE_LAWS[law], ENGINE_LAWS[(law + 1) % len(ENGINE_LAWS)]
         exp = RecurrenceExperiment(
             RateField(field), up, down, 6, 4070.0, 6.0, 1.0, seed=41 + law, z0=0.5
         )
-        counts = first_block_counts(exp)
+        counts = a_counts(exp)
         assert any(4096 - 128 < k < 4096 for k in counts) and 4096 in counts
         self.check(exp)
 
@@ -263,26 +263,26 @@ class TestBatchedEngine:
             RateField(CriticalLamperti(c=0.5)), GammaMean1(k=2.0), ExponentialMean1(),
             8, horizon, 2.0, 1.0, seed=43, z0=1.5,
         )
-        counts = first_block_counts(exp)
+        counts = a_counts(exp)
         if horizon == 0.5:  # paths without events beside paths with some
             assert 0 in counts and max(counts) > 0
         if horizon == 4070.0:
             assert any(4096 - 128 < k < 4096 for k in counts)
-        if horizon == EXACT_4096TH:  # a full block, then a block without events
+        if horizon == EXACT_4096TH:  # 16 full blocks, then none
             assert counts[0] == 4096
         self.check(exp)
 
     @pytest.mark.parametrize("horizon", [EXACT_8TH, 30.0, 5000.0], ids=["exact-8th", "30", "5000"])
     def test_paths_overflowing_the_first_block(self, monkeypatch, horizon):
-        # an 8-event first block: paths go on in blocks of 4096; at the
-        # exact 8th event time path 0 fills its first block and ends in a
-        # second one without events
+        # a first window of 8 waits: paths that fill it go on, on their own
+        # generators; at the exact 8th event time path 0 fills it and has
+        # no event after it
         monkeypatch.setattr(simulator, "_first_block", lambda h: 8)
         exp = RecurrenceExperiment(
             RateField(CriticalLamperti(c=0.5)), GammaMean1(k=2.0), ExponentialMean1(),
             6, horizon, 2.0, 1.0, seed=48, z0=0.5,
         )
-        counts = first_block_counts(exp)
+        counts = a_counts(exp, 8)
         assert counts[0] == 8 and (horizon == EXACT_8TH or min(counts) == 8)
         self.check(exp)
 
@@ -314,7 +314,7 @@ class TestBatchedEngine:
         exp = RecurrenceExperiment(
             RateField(field), Constant1(), Constant1(), 6, horizon, 6.0, 1.0, seed=49, z0=0.5
         )
-        counts = first_block_counts(exp)
+        counts = a_counts(exp)
         assert 4096 in counts
         if horizon == 4070.0:
             assert any(4096 - 128 < k < 4096 for k in counts)
@@ -340,26 +340,26 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("chunk,draw", [(4, 10), (16, 16), (16, 40)])
     @pytest.mark.parametrize("laws", range(4), ids=["unit-both", "unit-up", "unit-down", "random"])
-    @pytest.mark.parametrize("horizon", [60.0, 5000.0], ids=["one-block", "two-blocks"])
-    def test_draw_windows_of_other_widths(self, monkeypatch, chunk, draw, laws, horizon):
-        # windows of `draw` events walked `chunk` at a time: at horizon 60
-        # (first blocks of 138) the paths end inside a window; at 5000 a
-        # full 4096-event block ends inside a window of 10 or 40 (4096 =
-        # 409 * 10 + 6 = 102 * 40 + 16) and the paths end in a second one
+    @pytest.mark.parametrize("blocks", [1, 2], ids=["one-block", "two-blocks"])
+    def test_draw_windows_of_other_widths(self, monkeypatch, chunk, draw, laws, blocks):
+        # blocks of `draw` events, walked `chunk` at a time; the horizon
+        # (blocks - 1/2) * draw ends most paths in their first block, or
+        # in their second
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
-        monkeypatch.setattr(simulator, "_DRAW", draw)
+        monkeypatch.setattr(simulator, "_BLOCK", draw)
         up, down = (UNIT_PAIRS + [(GammaMean1(k=2.0), UniformMean1(d=0.4))])[laws]
         exp = RecurrenceExperiment(
-            RateField(CriticalLamperti(c=0.5)), up, down, 6, horizon, 6.0, 1.0, seed=52, z0=0.5
+            RateField(CriticalLamperti(c=0.5)), up, down, 6, (blocks - 0.5) * draw, 2.0, 1.0,
+            seed=52, z0=0.5,
         )
-        counts = first_block_counts(exp)
-        assert (4096 in counts) == (horizon == 5000.0)
+        ends = [k // draw for k in a_counts(exp)]
+        assert ends.count(blocks - 1) >= 3
         self.check_without_unit_mark_draws(monkeypatch, exp)
 
     def test_band_return_memory_is_bounded(self):
         # the band-return ensemble (400 unit-mark paths to t = 2e4) holds
-        # two (paths x _DRAW) buffers, times and uniforms-then-states, and
-        # traces about 4.4 MB; the bound is the 5.31 MB of the former four
+        # two (paths x _BLOCK) buffers, times and uniforms-then-states, and
+        # traces about 4.2 MB; the bound is the 5.31 MB of the former four
         # (paths x _CHUNK) buffers, two of them filled with unit marks
         exp = RecurrenceExperiment(
             RateField(CriticalLamperti(c=0.5)), Constant1(), Constant1(), 400, 2e4, 50.0, 1.0,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from driftlab import seeding
 from driftlab.experiments import RecurrenceExperiment, estimate_occupancy
 from driftlab.fields import Constant1, MeanReverting, RateField
-from driftlab.seeding import mix64, path_seed, path_seeds, pcg64_states
+from driftlab.seeding import mix64, path_seed, path_seeds, pcg64_states, stream_b_states, streams
 from driftlab.simulator import (
     martingale_check,
     simulate_compound_poisson,
@@ -47,7 +47,7 @@ def test_mix64_wraps_to_64_bits():
 
 
 def test_path_seed_is_mix_of_xor():
-    # draw contract 3: the master is mixed before the index is folded in
+    # since draw contract 3 the master is mixed before the index is folded in
     assert path_seed(0xDEADBEEF, 7) == mix64(mix64(0xDEADBEEF) ^ 7)
     assert path_seed(0, 0) == mix64(mix64(0))
 
@@ -141,6 +141,36 @@ def test_pcg64_states_guard_fails_loudly_when_the_recipe_drifts(monkeypatch, nam
     monkeypatch.setattr(seeding, name, getattr(seeding, name) ^ 2)
     with pytest.raises(RuntimeError, match="default_rng"):
         pcg64_states([path_seed(1, 0), path_seed(1, 1)])
+
+
+def advanced_state(seed):
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(1 << 96)
+    return rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_stream_b_is_default_rng_advanced_2_to_the_96(seed):
+    assert list(stream_b_states(pcg64_states([seed]))) == [advanced_state(seed)]
+    a, b = streams(seed)
+    assert a.bit_generator.state == default_rng_state(seed)
+    assert b.bit_generator.state == advanced_state(seed)
+
+
+def test_stream_b_states_over_a_span_of_path_seeds():
+    seeds = path_seeds(2**40 + 3, 0, 600).tolist()
+    assert list(stream_b_states(pcg64_states(seeds))) == [advanced_state(s) for s in seeds]
+
+
+def test_stream_b_states_of_no_states_is_empty():
+    assert list(stream_b_states([])) == []
+
+
+@pytest.mark.parametrize("name", ["_JUMP_MULT", "_JUMP_ADD"])
+def test_stream_b_guard_fails_loudly_on_a_wrong_jump_constant(monkeypatch, name):
+    monkeypatch.setattr(seeding, name, getattr(seeding, name) ^ 2)
+    with pytest.raises(RuntimeError, match="advance"):
+        list(stream_b_states(pcg64_states([path_seed(1, 0), path_seed(1, 1)])))
 
 
 _MR = RateField(MeanReverting(kappa=0.2))

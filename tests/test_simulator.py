@@ -111,36 +111,37 @@ class TestSimulateWalk:
         assert frac_up > 0.9
 
 
-def full_block_walk(rf, up_law, down_law, horizon, seed, z0=0.0, first=None):
-    """Reference: every block drawn in full (n waits, n uniforms, n up
-    marks, n down marks), events split by the scalar loop.  The first
-    block holds ``first`` events (recipe v2: ``_first_block(horizon)``;
-    v1: 4096), every later block 4096."""
-    times, jumps, zs = [], [], []
-    rng = np.random.default_rng(seed)
-    phi = rf.drift.scalar_phi()
-    t, z = 0.0, z0
-    n = simulator._first_block(horizon) if first is None else first
+def reference_walk(rf, up_law, down_law, horizon, seed, z0=0.0, block=256):
+    """Reference for walk draw contract 4, one event at a time.  The waits
+    come from stream A, ``default_rng(seed)``, until one crosses the
+    horizon.  Stream B, the same stream advanced 2**96 words, then gives
+    per block of ``block`` events (the last holding what is left) the
+    block's uniforms, up marks and down marks.  Each event is split by
+    the scalar phi at its time and the state before it.  Returns the
+    times, signed jumps, z_after and direction uniforms."""
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    b.bit_generator.advance(1 << 96)
+    times, t = [], 0.0
     while horizon > 0:
-        dts = rng.exponential(1.0, n)
-        us = rng.random(n)
-        ups = up_law.sample_block(rng, n)
-        dns = down_law.sample_block(rng, n)
-        k = 0
-        for dt, u, up, dn in zip(dts.tolist(), us.tolist(), ups.tolist(), dns.tolist()):
-            if t + dt > horizon:
-                break
-            t += dt
-            j = up if u < 0.5 + phi(z, t) else -dn
-            z += j
-            times.append(t)
-            jumps.append(j)
-            zs.append(z)
-            k += 1
-        if k < n:
+        t += a.standard_exponential()
+        if t > horizon:
             break
-        n = 4096
-    return np.array(times), np.array(jumps), np.array(zs)
+        times.append(t)
+    us, ups, dns = [], [], []
+    for j0 in range(0, len(times), block):
+        c = min(block, len(times) - j0)
+        us += b.random(c).tolist()
+        ups += up_law.sample_block(b, c).tolist()
+        dns += down_law.sample_block(b, c).tolist()
+    phi = rf.drift.scalar_phi()
+    z, jumps, zs = z0, [], []
+    for tn, u, up, dn in zip(times, us, ups, dns):
+        j = up if u < 0.5 + phi(z, tn) else -dn
+        z += j
+        jumps.append(j)
+        zs.append(z)
+    return np.array(times), np.array(jumps), np.array(zs), np.array(us)
 
 
 def assert_same_path(traj, want):
@@ -148,47 +149,48 @@ def assert_same_path(traj, want):
         assert got.tobytes() == ref.tobytes()
 
 
+def nth_event_time(seed, n):
+    """The n-th event time of the path with this seed: the n-th partial
+    sum of stream A's waits."""
+    return float(np.cumsum(np.random.default_rng(seed).exponential(1.0, n))[-1])
+
+
 LAWS = [Constant1(), ExponentialMean1(), GammaMean1(k=2.0), UniformMean1(d=0.4)]
 RECIPE_FIELDS = [ZERO, RateField(CriticalLamperti(c=0.5))]
-LAZY_SEED = 71
-# the 4096th event time: a full first block, then a block without events
-EXACT_4096TH = float(np.cumsum(np.random.default_rng(LAZY_SEED).exponential(1.0, 4096))[-1])
-# the 8th event time, for a first block shrunk to 8 events
-EXACT_8TH = float(np.cumsum(np.random.default_rng(LAZY_SEED).exponential(1.0, 8))[-1])
+REF_SEED = 71
+# paths that end on a block edge, their last block full: the 256th
+# event, and the 4096th, which also ends a pass of _event_blocks
+EXACT_256TH = nth_event_time(REF_SEED, 256)
+EXACT_4096TH = nth_event_time(REF_SEED, 4096)
+EXACT_8TH = nth_event_time(REF_SEED, 8)
 
 
 @pytest.mark.parametrize("rf", RECIPE_FIELDS, ids=["zero", "lamperti"])
 @pytest.mark.parametrize("law", range(len(LAWS)))
-@pytest.mark.parametrize("horizon", [0.0, 0.3, 300.0, EXACT_4096TH, 9000.0])
-def test_lazy_final_block_matches_the_full_block_recipe(rf, law, horizon):
+@pytest.mark.parametrize(
+    "horizon", [0.0, 0.3, EXACT_256TH, 300.0, 3600.0, EXACT_4096TH, 9000.0, 2e4]
+)
+def test_walk_matches_the_per_event_reference(rf, law, horizon):
     up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
-    traj = simulate_walk(rf, up, down, horizon, seed=LAZY_SEED, z0=0.25)
-    assert_same_path(traj, full_block_walk(rf, up, down, horizon, LAZY_SEED, z0=0.25))
+    traj = simulate_walk(rf, up, down, horizon, seed=REF_SEED, z0=0.25)
+    assert_same_path(traj, reference_walk(rf, up, down, horizon, REF_SEED, z0=0.25))
+    if horizon == EXACT_256TH:
+        assert traj.n_events == 256
     if horizon == EXACT_4096TH:
         assert traj.n_events == 4096
 
 
 @pytest.mark.parametrize("rf", RECIPE_FIELDS, ids=["zero", "lamperti"])
 @pytest.mark.parametrize("law", range(len(LAWS)))
-@pytest.mark.parametrize("horizon", [3600.0, EXACT_4096TH, 9000.0, 2e4])
-def test_long_horizons_keep_the_v1_recipe(rf, law, horizon):
-    # v1 drew 4096 events in every block; v2 only shrinks the first block
-    # of horizons below 3600
-    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
-    traj = simulate_walk(rf, up, down, horizon, seed=LAZY_SEED, z0=0.25)
-    assert_same_path(traj, full_block_walk(rf, up, down, horizon, LAZY_SEED, 0.25, first=4096))
-
-
-@pytest.mark.parametrize("rf", RECIPE_FIELDS, ids=["zero", "lamperti"])
-@pytest.mark.parametrize("law", range(len(LAWS)))
 @pytest.mark.parametrize("horizon", [EXACT_8TH, 30.0, 5000.0])
 def test_paths_overflowing_the_first_block(monkeypatch, rf, law, horizon):
-    # an 8-event first block: the path goes on in blocks of 4096, and at
-    # the exact 8th event time it ends in a second block without events
-    monkeypatch.setattr(simulator, "_first_block", lambda h: 8)
+    # 8-event blocks, read in passes of 3: the path goes on past its first
+    # block, or at the exact 8th event time fills it and ends
+    monkeypatch.setattr(simulator, "_BLOCK", 8)
+    monkeypatch.setattr(simulator, "_PASS", 3)
     up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
-    traj = simulate_walk(rf, up, down, horizon, seed=LAZY_SEED, z0=0.25)
-    assert_same_path(traj, full_block_walk(rf, up, down, horizon, LAZY_SEED, 0.25, first=8))
+    traj = simulate_walk(rf, up, down, horizon, seed=REF_SEED, z0=0.25)
+    assert_same_path(traj, reference_walk(rf, up, down, horizon, REF_SEED, 0.25, block=8))
     assert traj.n_events == 8 if horizon == EXACT_8TH else traj.n_events > 8
 
 
@@ -260,7 +262,7 @@ def test_band_settled_directions_match_the_phi_on_every_event_loop(field, law):
         for horizon in BAND_HORIZONS:
             for z0 in BAND_Z0S:
                 traj = simulate_walk(rf, up, down, horizon, seed, z0=z0)
-                assert_same_path(traj, full_block_walk(rf, up, down, horizon, seed, z0=z0))
+                assert_same_path(traj, reference_walk(rf, up, down, horizon, seed, z0=z0))
 
 
 def engine_paths(rf, up, down, horizon, seeds, z0):
@@ -275,13 +277,17 @@ def engine_paths(rf, up, down, horizon, seeds, z0):
     return [tuple(np.concatenate(v) if v else np.array([]) for v in part) for part in parts]
 
 
-# horizon, first block size (None: the recipe's), _CHUNK, _BATCH
+# horizon, then the sizes patched (None: the engine's): the first
+# window, _CHUNK, _BATCH and _BLOCK.  "whole": every path ends in the
+# first window; "cursors": paths that fill it go on, each on its own pair
+# of generators; "groups-of-4" also runs four sub-batches of 8-event
+# blocks walked 4 columns at a time.
 ENGINE_BLOCKS = {
-    "whole-25": (1.0, None, None, None),
-    "whole-90": (30.0, None, None, None),
-    "cursors-138": (60.0, None, None, None),
-    "whole-8-then-cursors": (30.0, 8, None, None),
-    "groups-of-4": (30.0, 4, 4, 10),
+    "whole-25": (1.0, None, None, None, None),
+    "whole-90": (30.0, None, None, None, None),
+    "cursors-138": (60.0, None, None, None, 64),
+    "whole-8-then-cursors": (30.0, 8, None, None, None),
+    "groups-of-4": (30.0, 4, 4, 10, 8),
 }
 
 
@@ -289,11 +295,9 @@ ENGINE_BLOCKS = {
 @pytest.mark.parametrize("law", range(len(LAWS)))
 @pytest.mark.parametrize("case", ENGINE_BLOCKS)
 def test_engine_blocks_match_simulate_walk(monkeypatch, field, law, case):
-    # first blocks of n <= _CHUNK events are drawn whole into rows, _CHUNK
-    # paths at a time; a path that outgrows one goes on with cursors
-    horizon, first, chunk, batch = ENGINE_BLOCKS[case]
+    horizon, first, chunk, batch, block = ENGINE_BLOCKS[case]
     for name, value in (("_first_block", first and (lambda h: first)), ("_CHUNK", chunk),
-                        ("_BATCH", batch)):
+                        ("_BATCH", batch), ("_BLOCK", block)):
         if value:
             monkeypatch.setattr(simulator, name, value)
     rf = RateField(BAND_FIELDS[field])
@@ -315,7 +319,7 @@ def test_band_settled_occupancy_matches_the_phi_on_every_event_loop(kappa, law):
         for horizon in BAND_HORIZONS:
             for z0 in BAND_Z0S:
                 occ = estimate_occupancy(rf, up, down, horizon, (n_min, n_max), seed, z0=z0)
-                times, _jumps, zs = full_block_walk(rf, up, down, horizon, seed, z0=z0)
+                times, _jumps, zs, _us = reference_walk(rf, up, down, horizon, seed, z0=z0)
                 starts = np.concatenate(([0.0], times))
                 ends = np.concatenate((times, [horizon]))
                 cells = np.floor(np.concatenate(([z0], zs))).astype(np.int64) + 1
@@ -344,19 +348,15 @@ def counting(field_type, **params):
 
 
 def band_uniforms(drift, horizon, seed):
-    """Unit-mark events whose direction uniform lies in its block's band
-    [0.5 - m, 0.5 + m), m = ``drift.phi_bound`` at the block's start."""
-    rng = np.random.default_rng(seed)
-    t, n, count = 0.0, simulator._first_block(horizon), 0
-    while True:
-        times = np.cumsum(np.concatenate(([t], rng.exponential(1.0, n))))[1:]
-        k = int(np.searchsorted(times, horizon, side="right"))
-        us = rng.random(n)[:k]
-        m = drift.phi_bound(t)
-        count += int(np.count_nonzero((us >= 0.5 - m) & (us < 0.5 + m)))
-        if k < n:
-            return count
-        t, n = float(times[-1]), 4096
+    """Unit-mark events whose direction uniform lies in its pass's band
+    [0.5 - m, 0.5 + m), m = ``drift.phi_bound`` at the pass's start."""
+    times, _jumps, _zs, us = reference_walk(RateField(drift), Constant1(), Constant1(), horizon, seed)
+    n, count = simulator._PASS * simulator._BLOCK, 0
+    for j0 in range(0, us.size, n):
+        m = drift.phi_bound(times[j0 - 1] if j0 else 0.0)
+        u = us[j0 : j0 + n]
+        count += int(np.count_nonzero((u >= 0.5 - m) & (u < 0.5 + m)))
+    return count
 
 
 def test_balance_path_calls_phi_on_few_events():
@@ -368,11 +368,11 @@ def test_balance_path_calls_phi_on_few_events():
     plain = estimate_occupancy(RateField(MeanReverting(kappa=0.2)), *args)
     events = simulate_walk(RateField(MeanReverting(kappa=0.2)), Constant1(), Constant1(), 2e4, 31).n_events
     assert same_bits(occ.p_star, plain.p_star)
-    assert 0 < calls[0] == band_uniforms(drift, 2e4, 31) <= 0.15 * events
+    assert 0 < calls[0] == band_uniforms(MeanReverting(kappa=0.2), 2e4, 31) <= 0.15 * events
     # phi_bound = 0 leaves no band, so a zero field never calls phi
     zero, zero_calls = counting(Zero)
     traj = simulate_walk(RateField(zero), Constant1(), Constant1(), 2e4, 31)
-    assert_same_path(traj, full_block_walk(ZERO, Constant1(), Constant1(), 2e4, 31))
+    assert_same_path(traj, reference_walk(ZERO, Constant1(), Constant1(), 2e4, 31))
     assert zero_calls[0] == 0
 
 
