@@ -309,6 +309,22 @@ def test_engine_blocks_match_simulate_walk(monkeypatch, field, law, case):
         assert same_bits(times, traj.times) and same_bits(z_after, traj.z_after)
 
 
+@pytest.mark.parametrize("rf", RECIPE_FIELDS, ids=["zero", "lamperti"])
+@pytest.mark.parametrize("law", range(len(LAWS)))
+@pytest.mark.parametrize("horizon", [3600.0, EXACT_4096TH, 9000.0, 2e4])
+def test_lockstep_engine_matches_the_per_event_reference(rf, law, horizon):
+    # long paths in lockstep over many windows and stream-A passes, next
+    # to a path of another length; at EXACT_4096TH the first one ends on
+    # the last event of a pass
+    up, down = LAWS[law], LAWS[(law + 1) % len(LAWS)]
+    seeds = [REF_SEED, 5]
+    got = engine_paths(rf, up, down, horizon, seeds, 0.25)
+    for seed, (times, z_after) in zip(seeds, got):
+        want_t, _, want_z, _ = reference_walk(rf, up, down, horizon, seed, z0=0.25)
+        assert same_bits(times, want_t) and same_bits(z_after, want_z)
+    assert len(got[0][0]) == 4096 if horizon == EXACT_4096TH else len(got[0][0]) > 3000
+
+
 @pytest.mark.parametrize("kappa", [0.2, 3.0])
 @pytest.mark.parametrize("law", range(len(LAWS)))
 def test_band_settled_occupancy_matches_the_phi_on_every_event_loop(kappa, law):
