@@ -178,7 +178,9 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
     """Run the ensemble and summarize it.
 
     Paths are seeded per index, generated independently, and reduced in
-    index order, so the report does not depend on the worker count.
+    index order, so the report does not depend on the worker count.  At
+    most ``os.cpu_count()`` worker processes run, however many are asked
+    for (0 asks for that many).
     """
     if exp.horizon < 4.0 * exp.level * exp.level:
         warnings.warn(
@@ -189,7 +191,8 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
         )
 
     t0 = time.perf_counter()
-    workers = exp.workers if exp.workers > 0 else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(exp.workers, cpus) if exp.workers > 0 else cpus
     if workers == 1 or exp.n_paths < 4:
         outcomes = _run_path_range(exp, 0, exp.n_paths)
     else:
@@ -198,7 +201,8 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
         spans = [
             (s, min(s + chunk, exp.n_paths)) for s in range(0, exp.n_paths, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the executor forks all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             parts = pool.map(_run_path_range, *zip(*((exp, a, b) for a, b in spans)))
             outcomes = [o for part in parts for o in part]
     runtime = time.perf_counter() - t0

@@ -66,8 +66,13 @@ def _reg_abs(x: np.ndarray, x_floor: float) -> np.ndarray:
 _CLIP = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 
-def _as_result(v: np.ndarray) -> ArrayLike:
-    return v if v.ndim else float(v)
+def _power_range(p: float) -> tuple[float, float]:
+    """The open interval of y > 0 on which y**p lies within e^(+-700),
+    clear of overflow and of subnormal results."""
+    if p == 0.0:
+        return 0.0, math.inf
+    lim = 700.0 / abs(p)
+    return math.exp(-lim), (math.exp(lim) if lim < 709.0 else math.inf)
 
 
 def _bound(m: float) -> float:
@@ -76,24 +81,30 @@ def _bound(m: float) -> float:
     return min(PHI_MAX, m * (1.0 + 1e-9))
 
 
-def _like_t(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """v broadcast against t; v itself when the shapes already agree.  A
-    broadcast view is read-only, but ``_clip`` makes the fresh result."""
-    return v if v.shape == t.shape else np.broadcast_arrays(v, t)[0]
-
-
 class DriftField:
     """Base class for drift fields.
 
-    Subclasses provide vectorized ``phi(x, t)`` and a scalar fast path
-    ``scalar_phi()`` returning a plain-float closure for event loops.
-    ``signed`` marks families whose phi may go negative.
+    Subclasses provide their arithmetic as ``_formula(x, t)`` on float64
+    arrays of one shape, and a scalar fast path ``scalar_phi()`` returning
+    a plain-float closure for event loops that agrees with ``phi`` bit for
+    bit.  ``signed`` marks families whose phi may go negative.
     """
 
     signed: bool = False
     x_floor: float
 
     def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
+        """phi at x and t broadcast together: a float for 0-d input, else
+        a fresh float64 array, clipped into [0, 1/2] ([-1/2, 1/2] when
+        ``signed``)."""
+        x = np.asarray(x, float)
+        t = np.asarray(t, float)
+        if x.shape != t.shape:
+            x, t = np.broadcast_arrays(x, t)
+        v = _CLIP(self._formula(x, t), -PHI_MAX if self.signed else 0.0, PHI_MAX)
+        return v if v.ndim else float(v)
+
+    def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def scalar_phi(self) -> ScalarPhi:
@@ -113,10 +124,6 @@ class DriftField:
         """
         return PHI_MAX
 
-    def _clip(self, v: np.ndarray) -> np.ndarray:
-        lo = -PHI_MAX if self.signed else 0.0
-        return _CLIP(v, lo, PHI_MAX)
-
 
 @dataclass(frozen=True)
 class Zero(DriftField):
@@ -128,9 +135,8 @@ class Zero(DriftField):
         if self.x_floor <= 0:
             raise ValueError("x_floor must be positive")
 
-    def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
-        out = np.zeros(np.broadcast(np.asarray(x, float), np.asarray(t, float)).shape)
-        return _as_result(out)
+    def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.zeros(x.shape)
 
     def scalar_phi(self) -> ScalarPhi:
         return lambda x, t: 0.0
@@ -156,14 +162,11 @@ class CriticalLamperti(DriftField):
         if self.x_floor <= 0:
             raise ValueError("x_floor must be positive")
 
-    def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
-        ax = _reg_abs(x, self.x_floor)
+    def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         # dividing c by 4 is exact (short of subnormal c), so this is
         # c / (4 ax) without 4 ax overflowing past DBL_MAX/4: the scalar
         # closure's c4 / ax
-        return _as_result(self._clip(_like_t((self.c / 4.0) / ax, t)))
+        return (self.c / 4.0) / _reg_abs(x, self.x_floor)
 
     def scalar_phi(self) -> ScalarPhi:
         c4 = self.c / 4.0
@@ -189,7 +192,8 @@ class PowerLaw(DriftField):
 
     With alpha = 2*beta - 1 this is the critical-window family: along
     t = x^2 it collapses to rho / x.  t = 0 evaluates at the clip
-    ceiling (the unclipped value diverges there for beta > 0).
+    ceiling (the unclipped value diverges there for beta > 0), and so
+    does a point where one power is infinite and the other 0.
     """
 
     rho: float
@@ -205,41 +209,37 @@ class PowerLaw(DriftField):
         if self.x_floor <= 0:
             raise ValueError("x_floor must be positive")
 
-    def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
-        ax = _reg_abs(x, self.x_floor)
-        if self.beta == 0.0:
-            tf = np.broadcast_arrays(np.ones(()), t)[0]
-        else:
-            with np.errstate(over="ignore"):
-                tf = np.where(t > 0.0, t, 1.0) ** (-self.beta)
-            tf = np.where(t > 0.0, tf, np.inf)
-        with np.errstate(over="ignore"):
-            v = self.rho * ax**self.alpha * tf
-        return _as_result(self._clip(v))
+    def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.rho * np.power(_reg_abs(x, self.x_floor), self.alpha)
+            if self.beta != 0.0:
+                pos = t > 0.0
+                v = v * np.where(pos, np.power(np.where(pos, t, 1.0), -self.beta), np.inf)
+        # 0 * inf gives NaN; it is the ceiling there (NaN only for NaN x)
+        return np.where(np.isnan(v) & (x == x), np.inf, v)
 
     def scalar_phi(self) -> ScalarPhi:
+        # numpy's power on plain floats, the loop ``_formula`` runs (libm's
+        # pow, behind **, rounds differently); ``phi`` itself where a power
+        # could leave the normal range and warn, or t <= 0.
         rho, alpha, beta = self.rho, self.alpha, self.beta
         fl = self.x_floor
         hi = PHI_MAX
+        power = np.power
+        phi = self.phi
+        a_lo, a_hi = _power_range(alpha)
+        t_lo, t_hi = _power_range(beta) if beta != 0.0 else (-math.inf, math.inf)
 
         def f(x: float, t: float) -> float:
             ax = x if x >= 0.0 else -x
             if ax < fl:
                 ax = fl
-            try:
-                if beta != 0.0:
-                    if t <= 0.0:
-                        return hi
-                    v = rho * ax**alpha * t**-beta
-                else:
-                    v = rho * ax**alpha
-            except OverflowError:  # float pow raises where numpy's gives inf
-                return hi
-            if v > hi:
-                return hi
-            return v
+            if not (a_lo < ax < a_hi and t_lo < t < t_hi):
+                return phi(x, t)
+            v = rho * float(power(ax, alpha))
+            if beta != 0.0:
+                v *= float(power(t, -beta))
+            return hi if v > hi else v
 
         return f
 
@@ -277,14 +277,11 @@ class MeanReverting(DriftField):
         if self.x_floor <= 0:
             raise ValueError("x_floor must be positive")
 
-    def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
+    def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         # |x| capped at x_floor leaves min(1/2, |x|/x_floor) as it is and
         # keeps the quotient from overflowing when x_floor is tiny
         m = np.minimum(0.5, np.minimum(np.abs(x), self.x_floor) / self.x_floor)
-        v = -0.5 * self.kappa * np.sign(x) * m
-        return _as_result(self._clip(_like_t(v, t)))
+        return -0.5 * self.kappa * np.sign(x) * m
 
     def scalar_phi(self) -> ScalarPhi:
         half_k = 0.5 * self.kappa
@@ -361,10 +358,7 @@ class Tabulated(DriftField):
             and np.array_equal(self.values, other.values)
         )
 
-    def phi(self, x: ArrayLike, t: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, float)
-        t = np.asarray(t, float)
-        # every step is elementwise, so the operands broadcast as they meet
+    def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         qx = np.clip(_reg_abs(x, self.x_floor), self.x_grid[0], self.x_grid[-1])
         qt = np.clip(t, self.t_grid[0], self.t_grid[-1])
         ix = np.clip(np.searchsorted(self.x_grid, qx, side="right") - 1, 0, self.x_grid.size - 2)
@@ -373,13 +367,12 @@ class Tabulated(DriftField):
         t0, t1 = self.t_grid[it], self.t_grid[it + 1]
         wx = (qx - x0) / (x1 - x0)
         wt = (qt - t0) / (t1 - t0)
-        v = (
+        return (
             self.values[ix, it] * (1 - wx) * (1 - wt)
             + self.values[ix + 1, it] * wx * (1 - wt)
             + self.values[ix, it + 1] * (1 - wx) * wt
             + self.values[ix + 1, it + 1] * wx * wt
         )
-        return _as_result(self._clip(v))
 
     def scalar_phi(self) -> ScalarPhi:
         # Same floor, clamps, cell lookup and left-to-right four-term sum
@@ -431,10 +424,8 @@ class RateField:
     drift: DriftField
 
     def rates(self, x: ArrayLike, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        p = self.drift.phi(x, t)
-        lam = 0.5 + np.asarray(p)
-        mu = 1.0 - lam
-        return _as_result(lam), _as_result(np.array(mu))
+        lam = 0.5 + self.drift.phi(x, t)
+        return lam, 1.0 - lam
 
 
 class JumpLaw:

@@ -21,16 +21,13 @@ path.  So an event's draws do not depend on how an engine groups them,
 and ``_BLOCK`` is the only size in the record; a (seed, config) pair
 reproduces its trajectories byte for byte.
 
-Two engines read the contract and agree bit for bit wherever ``phi`` and
-``scalar_phi`` agree, which they do for every family except ``PowerLaw``
-(numpy's ``power`` and libm's ``pow`` differ by up to 4 ulp), where a
-direction flips only if a uniform lands within those ulp of its
-threshold.  ``_event_blocks`` runs one path: it reads A in passes of
-``_PASS`` blocks and B block by block, and splits each pass with the
-scalar ``scalar_phi`` closure.  With m = ``drift.phi_bound(t)`` at the
-pass's start time t, a uniform u < 0.5 - m is an up-step and u >= 0.5 + m
-a down-step whatever phi is, because |phi| <= m from t on and rounding is
-monotone.  So one vector pass sets every direction as if phi were 0, and
+Two engines read the contract and agree bit for bit, because every
+family's ``phi`` and ``scalar_phi`` do.  ``_event_blocks`` runs one path:
+it reads A in passes of ``_PASS`` blocks and B block by block, and splits
+each pass with the scalar ``scalar_phi`` closure.  With m =
+``drift.phi_bound(t)`` at the pass's start time t, a uniform u < 0.5 - m
+is an up-step and u >= 0.5 + m a down-step whatever phi is, because
+|phi| <= m from t on and rounding is monotone.  So one vector pass sets every direction as if phi were 0, and
 a Python loop visits only the open events, u in [0.5 - m, 0.5 + m),
 folding the settled stretch since the last one onto the state, left to
 right, before it calls phi.  One cumsum seeded with the carried z then
@@ -793,8 +790,7 @@ def wald_second_moment_check(
 
     The paths are the lockstep engine's, and the estimate is the left
     fold of dz^2 over their final positions in path order, so it equals
-    a loop over ``simulate_walk(..., path_seed(seed, i))`` bit for bit
-    (up to ``PowerLaw``'s caveat in the module docstring).
+    a loop over ``simulate_walk(..., path_seed(seed, i))`` bit for bit.
     """
     if not 0.0 <= sigma < math.inf:  # written so that NaN fails too
         raise ValueError("sigma must be nonnegative and finite")

@@ -33,6 +33,9 @@ GAMMA_EXP = "jumps: {up: {family: gamma_mean1, k: 2.0}, down: {family: exponenti
 CONFIGS = {
     "simulate": "command: simulate\nfield: {family: critical_lamperti, c: 0.5}\n" + GAMMA_EXP
                 + "simulate: {horizon: 40.0}\n",
+    # the one family whose closure takes powers: numpy's, as its phi does
+    "simulate_power_law": "command: simulate\nfield: {family: power_law, rho: 0.1, alpha: -0.5, beta: 0.25}\n"
+                          + UNIT + "simulate: {horizon: 200.0}\n",
     "wald": "command: check\nfield: {family: mean_reverting, kappa: 0.2}\n" + GAMMA_EXP
             + "check: {kind: wald, sigma: 2.0, n_paths: 130}\n",
     "martingale": "command: check\n" + GAMMA_EXP
@@ -46,6 +49,8 @@ SEEDS = (7, 2**64 - 1)
 DIGESTS = {
     ("simulate", 7): "4f69de9e6307fee81ec7058f871bfbc5be36e84dc07efb31430f82b2cd8b8108",
     ("simulate", 2**64 - 1): "26e848f912de7224ea4821192fb3f904a3e81c58953efdf274f21a37eeca4127",
+    ("simulate_power_law", 7): "660cb01a53a5b213d093aa97f3a9edfb6de219e7114fb9643d611f1e541cb7f3",
+    ("simulate_power_law", 2**64 - 1): "d0d3e8878d4a66c52a9c8540da0f8fab59cd82c9da6e628fedc1d379b601aefb",
     ("wald", 7): "639bc815a4fba85d0182544971f378e3f177b0938f1f14c7c3bcfc4c138a7627",
     ("wald", 2**64 - 1): "620143655be981872652e5262f689806b5f098a8ad08790bff884c8acb12d239",
     ("martingale", 7): "58e8c6e40e91ec6f5d429914c9dfe7c087ef899efbc6b3aff143fa9d0285e209",

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import os
 import tracemalloc
 import types
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from driftlab.classifier import BDChain, discretize_to_bd, ratio_family_chain
-from driftlab import simulator
+from driftlab import experiments, simulator
 from driftlab.experiments import (
     OccupancyEstimate,
     PathOutcome,
@@ -149,6 +150,41 @@ class TestRecurrenceExperiment:
         serial = quiet_run(RecurrenceExperiment(**base, workers=1))
         pooled = quiet_run(RecurrenceExperiment(**base, workers=2))
         assert experiment_csv(serial) == experiment_csv(pooled)
+
+    @pytest.mark.parametrize(
+        "workers,cpus,n_paths,size",
+        [(5000, 3, 40, 3), (0, 3, 40, 3), (2, 3, 40, 2), (4, 64, 5, 3)],
+    )
+    def test_pool_holds_a_process_per_span_up_to_the_cpu_count(
+        self, monkeypatch, workers, cpus, n_paths, size
+    ):
+        # a stand-in executor records its size and maps in-process, so no
+        # process is started whatever the worker count asks for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        base = dict(
+            rate_field=ZERO, up_law=ExponentialMean1(), down_law=Constant1(),
+            n_paths=n_paths, horizon=60.0, level=3.0, band=1.0, seed=8,
+        )
+        pooled = quiet_run(RecurrenceExperiment(**base, workers=workers))
+        assert sizes == [size]
+        serial = quiet_run(RecurrenceExperiment(**base, workers=1))
+        assert experiment_csv(pooled) == experiment_csv(serial)
 
     def test_longer_horizon_returns_more(self):
         # diffusive return times have heavy tails: quadrupling the
@@ -392,8 +428,8 @@ class TestBatchedEngine:
             assert experiment_csv(rep) == text
 
     def test_power_law_fixed_seed(self):
-        # the engine evaluates numpy's power, the scalar loop libm's pow;
-        # they differ by a few ulp, which flips no direction on this seed
+        # the engine's phi and the scalar loop's closure take their powers
+        # with the same numpy power, so every path matches bit for bit
         exp = RecurrenceExperiment(
             RateField(PowerLaw(rho=0.1, alpha=-0.5, beta=0.25)), Constant1(), Constant1(),
             12, 3000.0, 10.0, 1.0, seed=46,
