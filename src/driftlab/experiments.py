@@ -18,7 +18,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -201,7 +200,10 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
         spans = [
             (s, min(s + chunk, exp.n_paths)) for s in range(0, exp.n_paths, chunk)
         ]
-        # the executor forks all max_workers processes at the first submit
+        # imported here so that serial runs never load multiprocessing; the
+        # executor forks all max_workers processes at the first submit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             parts = pool.map(_run_path_range, *zip(*((exp, a, b) for a, b in spans)))
             outcomes = [o for part in parts for o in part]

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -864,3 +866,32 @@ def test_an_overwritten_output_keeps_its_mode(tmp_path):
     assert main([cfg, "--out", str(out)]) == 0
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
     assert out.read_text().startswith("tau,signed_jump,z_after\n")
+
+
+# Run in a fresh interpreter, so that no other test's imports count: the
+# serial experiment and the martingale check must not load the process
+# pool's modules or numpy.polynomial.
+IMPORT_PROBE = """\
+import json, sys
+from driftlab.cli import main
+for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert main([cfg, "--out", out]) == 0
+print(json.dumps(sorted(
+    m for m in ("concurrent.futures", "multiprocessing", "numpy.polynomial")
+    if m in sys.modules
+)))
+"""
+
+
+def test_a_serial_run_imports_no_pool_and_no_polynomial(tmp_path):
+    argv = []
+    for name in ("experiment", "check-martingale"):
+        argv += [write(tmp_path, SEEDED_CONFIGS[name], f"{name}.yaml"),
+                 str(tmp_path / f"{name}.json")]
+    src = os.path.dirname(os.path.dirname(driftlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []

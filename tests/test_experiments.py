@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import decimal
 import math
@@ -175,7 +176,9 @@ class TestRecurrenceExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        # the pool branch imports the executor when it runs, so the
+        # stand-in goes where that import looks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         base = dict(
             rate_field=ZERO, up_law=ExponentialMean1(), down_law=Constant1(),

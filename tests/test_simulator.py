@@ -580,6 +580,13 @@ def test_martingale_residuals_centered_both_modes():
 GL = list(zip(*(v.tolist() for v in np.polynomial.legendre.leggauss(16))))
 
 
+def test_the_stored_rule_is_numpys_16_point_gauss_legendre_bit_for_bit():
+    # the compensators read simulator._GL; it is stored so that no run
+    # imports numpy.polynomial, and must stay leggauss(16)'s floats
+    bits = [(x.hex(), w.hex()) for x, w in simulator._GL]
+    assert bits == [(x.hex(), w.hex()) for x, w in GL]
+
+
 def scalar_integral(rate, a, b):
     if b <= a:
         return 0.0
