@@ -10,6 +10,16 @@ chain, and runs Monte Carlo recurrence/occupancy experiments.
 
 __version__ = "0.4.0"  # draw contract 4 (see simulator and seeding)
 
+import os
+import sys
+
+# driftlab makes no BLAS call, yet OpenBLAS starts a worker thread when
+# numpy loads, which spins for 60-90 ms of CPU and, when the other core is
+# busy, adds 50-75 ms to the import (2 cores, numpy 2.4).  A value the
+# caller set, or a numpy it already imported, is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .classifier import (
     BDChain,
     Classification,

@@ -438,10 +438,23 @@ class JumpLaw:
     ) -> np.ndarray:
         """n marks, drawn into ``out`` (a float64 array of n entries) when
         it is given, which is returned; the values and the words drawn
-        are the same either way.  numpy checks a size passed beside
-        ``out`` at about twice the cost of the draw of a short row, so
-        laws pass one or the other."""
+        are the same either way: ``_draw``, then ``_finish``."""
+        v = np.empty(n) if out is None else out
+        self._draw(rng, v)
+        self._finish(v)
+        return v
+
+    def _draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` from ``rng``, using up every random word of the
+        block.  numpy checks a size passed beside ``out`` at about twice
+        the cost of the draw of a short row, so laws pass ``out`` alone."""
         raise NotImplementedError
+
+    def _finish(self, v: np.ndarray, where: np.ndarray | bool = True) -> None:
+        """Turn the ``_draw`` values of ``v`` where ``where`` holds into
+        marks, in place and elementwise, so that many rows drawn one by
+        one can be finished by one call; each drawn entry must be
+        finished exactly once.  Nothing to do by default."""
 
 
 @dataclass(frozen=True)
@@ -450,19 +463,16 @@ class Constant1(JumpLaw):
 
     variance = 0.0
 
-    def sample_block(self, rng, n, out=None):
-        if out is None:
-            return np.ones(n)
+    def _draw(self, rng, out):
         out.fill(1.0)
-        return out
 
 
 @dataclass(frozen=True)
 class ExponentialMean1(JumpLaw):
     variance = 1.0
 
-    def sample_block(self, rng, n, out=None):
-        return rng.standard_exponential(n) if out is None else rng.standard_exponential(out=out)
+    def _draw(self, rng, out):
+        rng.standard_exponential(out=out)
 
 
 @dataclass(frozen=True)
@@ -481,9 +491,11 @@ class GammaMean1(JumpLaw):
 
     # numpy's gamma(k, scale) is scale * standard_gamma(k); calling the
     # standard form skips its argument checks and gives the same values.
-    def sample_block(self, rng, n, out=None):
-        v = rng.standard_gamma(self.k, n) if out is None else rng.standard_gamma(self.k, out=out)
-        return np.multiply(v, 1.0 / self.k, out=v)
+    def _draw(self, rng, out):
+        rng.standard_gamma(self.k, out=out)
+
+    def _finish(self, v, where=True):
+        np.multiply(v, 1.0 / self.k, out=v, where=where)
 
 
 @dataclass(frozen=True)
@@ -502,9 +514,10 @@ class UniformMean1(JumpLaw):
 
     # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), one rounding
     # per operation, so the in-place form gives the same values.
-    def sample_block(self, rng, n, out=None):
+    def _draw(self, rng, out):
+        rng.random(out=out)
+
+    def _finish(self, v, where=True):
         lo = 1.0 - self.d
-        v = rng.random(n) if out is None else rng.random(out=out)
-        v *= (1.0 + self.d) - lo
-        v += lo
-        return v
+        np.multiply(v, (1.0 + self.d) - lo, out=v, where=where)
+        np.add(v, lo, out=v, where=where)

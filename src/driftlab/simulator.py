@@ -234,7 +234,9 @@ def _event_blocks(
             j1 = min(j0 + step, k)
             rng_b.random(out=us[j0:j1])
             for law, i in drawn:
-                law.sample_block(rng_b, j1 - j0, out=marks[i, j0:j1])
+                law._draw(rng_b, marks[i, j0:j1])
+        for law, i in drawn:
+            law._finish(marks[i])
         ups, dns = marks
         # |phi| <= m from the pass's start on, so a uniform outside
         # [0.5 - m, 0.5 + m) settles the direction without phi; only the
@@ -279,15 +281,18 @@ def _draw_rows(
     """Draw one whole block per path straight into its rows: from the
     i-th generator, n waits into ``waits[i]``, n uniforms into
     ``uniforms[i]``, then n marks into row i of each ``(law, buffer)`` of
-    ``marks`` in turn, n being the buffers' width.  A ``Constant1`` law
-    draws no words and needs no buffer, so its entry is skipped."""
+    ``marks`` in turn, n being the buffers' width; each buffer is
+    finished once, at the end, so ``rngs`` gives one generator per row.
+    A ``Constant1`` law draws no words and needs no buffer, so its entry
+    is skipped."""
     drawn = [(law, m) for law, m in marks if not isinstance(law, Constant1)]
-    n = waits.shape[1]
     for i, rng in enumerate(rngs):
         rng.standard_exponential(out=waits[i])
         rng.random(out=uniforms[i])
         for law, m in drawn:
-            law.sample_block(rng, n, out=m[i])
+            law._draw(rng, m[i])
+    for law, m in drawn:
+        law._finish(m)
 
 
 def _at_states(
@@ -402,7 +407,13 @@ def _batch_chunks(
         for i, c, rng in zip(range(rows), k.tolist(), b_rngs(paths[:rows].tolist())):
             rng.random(out=u[i, :c])
             for law, j in drawn:
-                law.sample_block(rng, c, out=marks[j][i, :c])
+                law._draw(rng, marks[j][i, :c])
+        if drawn:
+            # finish only the marks just drawn: the padding past a row's
+            # count was finished in an earlier window, or never drawn
+            fresh = np.arange(cols) < k[:rows, None]
+            for law, j in drawn:
+                law._finish(marks[j], where=fresh)
         for c0 in range(0, int(k[0]) if rows else 0, _CHUNK):
             counts = np.minimum(k - c0, _CHUNK)
             m = int(np.count_nonzero(counts > 0))

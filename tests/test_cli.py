@@ -1,9 +1,11 @@
+import ast
 import enum
 import errno
 import itertools
 import json
 import math
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -895,3 +897,64 @@ def test_a_serial_run_imports_no_pool_and_no_polynomial(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+# Run in a fresh interpreter, after numpy when argv[1] says so: the
+# OpenBLAS thread count that import driftlab.cli leaves, and the
+# process's threads (None off Linux).
+BLAS_PROBE = """\
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import driftlab.cli
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize(
+    "order,caller,want",
+    [("driftlab-first", None, "1"), ("driftlab-first", "3", "3"), ("numpy-first", None, None)],
+    ids=["unset", "caller-set", "numpy-first"],
+)
+def test_driftlab_starts_openblas_single_threaded(order, caller, want):
+    src = os.path.dirname(os.path.dirname(driftlab.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, order],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    value, threads = json.loads(done.stdout.splitlines()[-1])
+    assert value == want
+    if want == "1" and threads is not None:
+        assert threads == 1
+
+
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_the_package_makes_no_blas_call():
+    # OpenBLAS runs single-threaded because driftlab never calls it (see
+    # driftlab/__init__.py), so a BLAS call must be added on purpose: any
+    # @ fails, and so does any of these names as an attribute (np.dot,
+    # a.dot) or in an import, the only ways a bare name could be bound
+    found = []
+    for path in sorted(pathlib.Path(driftlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names
+                      if n == "@" or n in BLAS_NAMES]
+    assert found == []

@@ -341,10 +341,11 @@ class TestBatchedEngine:
         # ask Constant1 for a block (the scalar reference still does)
         want = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
 
-        def no_draws(law, rng, n):
-            raise AssertionError("Constant1.sample_block called by the engine")
+        def no_draws(law, rng, out):
+            raise AssertionError("Constant1 drew a block in the engine")
 
-        monkeypatch.setattr(Constant1, "sample_block", no_draws)
+        # sample_block draws through _draw, so this covers both
+        monkeypatch.setattr(Constant1, "_draw", no_draws)
         assert outcome_reprs(quiet_run(exp).paths) == outcome_reprs(want)
 
     @pytest.mark.parametrize("field", ENGINE_FIELDS, ids=lambda f: type(f).__name__)

@@ -273,17 +273,30 @@ class TestJumpLaws:
         ids=["gamma0.3", "gamma2", "gamma3", "exponential", "uniform", "constant"],
     )
     def test_kernels_match_the_generic_numpy_calls(self, law, old):
-        # blocks, blocks drawn into a row of a buffer and the generator's
-        # next draw all match the calls the draw recipe was written with
+        # blocks, blocks drawn into a row of a buffer, rows drawn one by
+        # one and finished by one masked call, and the generator's next
+        # draw all match the calls the draw recipe was written with
         for n in (1, 7, 4096):
-            a, b, c = (np.random.default_rng(n) for _ in range(3))
+            a, b, c, d = (np.random.default_rng(n) for _ in range(4))
             want = old(b, n).tobytes()
             assert law.sample_block(a, n).tobytes() == want
             rows = np.full((3, n), np.nan)
             row = rows[1]
             assert law.sample_block(c, n, out=row) is row
             assert row.tobytes() == want and np.isnan(rows[[0, 2]]).all()
-            assert a.random() == b.random() == c.random()
+            # a ragged window: row 0 takes the first n - n // 2 marks and
+            # row 1 the rest; the padding past each count and row 2 keep
+            # a value that any scaling would move, and no entry is
+            # finished twice
+            window = np.full((3, n), -1.0)
+            counts = np.array([n - n // 2, n // 2, 0])
+            for i, k in enumerate(counts[:2]):
+                law._draw(d, window[i, :k])
+            law._finish(window, where=np.arange(n) < counts[:, None])
+            got = np.concatenate((window[0, : counts[0]], window[1, : counts[1]]))
+            assert got.tobytes() == want
+            assert (window[np.arange(n) >= counts[:, None]] == -1.0).all()
+            assert a.random() == b.random() == c.random() == d.random()
 
     def test_constant_sample_draws_nothing(self):
         a, b = np.random.default_rng(3), np.random.default_rng(3)
