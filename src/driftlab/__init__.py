@@ -8,7 +8,7 @@ transient) from the drift field or from a discretized birth-death
 chain, and runs Monte Carlo recurrence/occupancy experiments.
 """
 
-__version__ = "0.4.0"  # draw contract 4 (see simulator and seeding)
+__version__ = "0.5.0"  # draw contract 5 (see simulator and seeding)
 
 import os
 import sys

@@ -1,4 +1,4 @@
-"""Per-path seeds and the walk's two streams.
+"""Per-path seeds and a path's two streams.
 
 Path i under master seed m has seed ``mix64(mix64(m) ^ i)`` (splitmix64's
 finalizer, draw contract 3), so two masters share a path seed only when
@@ -6,8 +6,8 @@ finalizer, draw contract 3), so two masters share a path seed only when
 in any order, or on any worker, and still reproduce byte for byte.
 
 A path seeded with s reads stream A, the one ``np.random.default_rng(s)``
-starts, and a walk path also stream B, 2**96 words further on (draw
-contract 4).  ``pcg64_states`` computes A's starting states for a span of
+starts, and stream B, 2**96 (``_JUMP``) words further on (draw contract
+5).  ``pcg64_states`` computes A's starting states for a span of
 seeds at once, about 3 us a path against 20 for a ``default_rng``:
 ``SeedSequence``'s uint32 hash runs as array operations and PCG64's
 128-bit seeding step as Python integers.  ``stream_b_states`` maps them to
@@ -184,10 +184,3 @@ def stream_b_states(states: Iterable[dict]) -> Iterator[dict]:
             if out != bg.state:
                 raise RuntimeError("stream B's state differs from numpy's PCG64 advance")
         yield out
-
-
-def streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The walk's streams A and B for path seed ``seed``."""
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    b.bit_generator.advance(_JUMP)
-    return a, b

@@ -10,58 +10,55 @@ waits, then split each event up/down with probability lambda vs mu at
 the event time.  No proposal is ever rejected, so the simulation is
 exact and consumes a fixed number of draws per event.
 
-Walk draw contract 4.  A path seeded with s reads two streams
-(``seeding.streams``).  Stream A, ``np.random.default_rng(s)``, gives the
-inter-event waits, one standard exponential per event, in order.  Stream
-B, the same PCG64 stream 2**96 words on, gives per block of ``_BLOCK``
-(256) events the block's direction uniforms, then its up marks, then its
-down marks; a ``Constant1`` side draws nothing.  The block in which the
-waits cross the horizon holds only its k < ``_BLOCK`` events and ends the
-path.  So an event's draws do not depend on how an engine groups them,
-and ``_BLOCK`` is the only size in the record; a (seed, config) pair
-reproduces its trajectories byte for byte.
+Draw contract 5.  A path seeded with s reads two streams (see
+``seeding``).  Stream A, ``np.random.default_rng(s)``, gives its
+waits, one standard exponential per event, in order, each times the
+path's wait scale: 1 for a walk, 1 / rate_bound for a compound-Poisson
+path, whose events are the proposals of a rate_bound clock.  An event's
+time is the carried left fold t + w * scale.  Stream B, the same PCG64
+stream 2**96 words on, gives per block of ``_BLOCK`` (256) events the
+block's uniforms, then the marks of each law in turn (the walk's up law,
+then its down law; a compound-Poisson path's one law); a ``Constant1``
+law draws nothing.  The block in which the waits cross the horizon holds
+only its k < ``_BLOCK`` events and ends the path.  So an event's draws
+do not depend on how an engine groups them, and ``_BLOCK`` is the only
+size in the record; a (seed, config) pair reproduces its paths byte for
+byte.
 
-Two engines read the contract and agree bit for bit, because every
-family's ``phi`` and ``scalar_phi`` do.  ``_event_blocks`` runs one path:
-it reads A in passes of ``_PASS`` blocks and B block by block, and splits
-each pass with the scalar ``scalar_phi`` closure.  With m =
+One generator, ``_blocks``, draws the contract for one path or for many
+in lockstep, window by window, and yields (times, uniforms, marks).
+Each caller applies its own rule to them.  The walk splits event i up
+iff u_i < 1/2 + phi(z, t_i), z the state before it; a compound-Poisson
+path accepts proposal i iff u_i * rate_bound <= rate(t_i), with mark i.
+
+Two walk engines read the contract and agree bit for bit, because every
+family's ``phi`` and ``scalar_phi`` do.  ``_event_blocks`` runs one path
+(``_path_blocks``, in passes of ``_PASS`` blocks after the first) and
+splits each pass with the scalar ``scalar_phi`` closure.  With m =
 ``drift.phi_bound(t)`` at the pass's start time t, a uniform u < 0.5 - m
 is an up-step and u >= 0.5 + m a down-step whatever phi is, because
-|phi| <= m from t on and rounding is monotone.  So one vector pass sets every direction as if phi were 0, and
-a Python loop visits only the open events, u in [0.5 - m, 0.5 + m),
-folding the settled stretch since the last one onto the state, left to
-right, before it calls phi.  One cumsum seeded with the carried z then
-gives z_after, the same left fold.  ``_batch_chunks`` runs an ensemble in
-lockstep, one event of every live path per step, with the vectorized
-``phi`` evaluated across paths (see its docstring).
+|phi| <= m from t on and rounding is monotone.  So one vector pass sets
+every direction as if phi were 0, and a Python loop visits only the open
+events, u in [0.5 - m, 0.5 + m), folding the settled stretch since the
+last one onto the state, left to right, before it calls phi.  One cumsum
+seeded with the carried z then gives z_after, the same left fold.
+``_batch_chunks`` runs an ensemble on ``_lockstep``'s windows, one event
+of every live path per step, with the vectorized ``phi`` evaluated
+across paths (see its docstring).
 
-Compound-Poisson draw recipe 3.  A path thins a proposal clock of rate
-``rate_bound`` and reads the one stream ``default_rng(s)``.  It draws
-proposals in blocks of n: n waits, then n uniforms, then n marks, with n
-= ``_first_block(rate_bound * horizon)`` for the first block and
-``_CP_BLOCK`` after it.  Proposal times are the carried left fold
-t + w / rate_bound, computed as a cumsum seeded with the carried t;
-proposal i is accepted iff t_i <= horizon and u_i * rate_bound <=
-rate(t_i), and then carries mark i.  A block whose last proposal lies
-inside the horizon is followed by the next.  ``simulate_compound_poisson``
-runs it for one path (``_compound_poisson``); ``martingale_check``
-draws each path's first block straight into rows with ``_draw_rows``,
-``_CHUNK`` paths at a time, and thins them as arrays; the rare path
-whose first block ends inside the horizon with no accepted event past
-tau is drawn again, whole, by ``_compound_poisson``.
-
-The compensators have one fold, ``_compensate``, shared by
+``simulate_compound_poisson`` thins one path's blocks, and
+``martingale_check`` thins ``_lockstep``'s windows as arrays.  The
+compensators have one fold, ``_compensate``, shared by
 ``compensator_report`` (one path) and ``martingale_check`` (many).  The
-check prices its paths in sub-batches of at most ``_BATCH``, and of at
-most ``_BATCH * _CHUNK`` first-block cells, so memory does not grow with
-rate x horizon: the sub-batch's inter-event
-intervals and tails to tau sit in flat arrays, one ``_integrals`` pass
-applies the Gauss-Legendre rule to all of them panel by panel, and each
-path's compensator is folded column by column (event j of every path
-that has one), so nothing is padded to a (paths x events) matrix.  Per
-path the arithmetic is a scalar loop's, in the same order, so the
-values are bit-identical to it whenever the intensity's own arithmetic
-is correctly rounded.
+check prices its paths in spans of at most ``_BATCH``, and of about
+``_BATCH * _CHUNK`` proposals in all, so memory does not grow with rate
+x horizon: the span's inter-event intervals and tails to tau sit in flat
+arrays, one ``_integrals`` pass applies the Gauss-Legendre rule to all of
+them panel by panel, and each path's compensator is folded column by
+column (event j of every path that has one), so nothing is padded to a
+(paths x events) matrix.  Per path the arithmetic is a scalar loop's, in
+the same order, so the values are bit-identical to it whenever the
+intensity's own arithmetic is correctly rounded.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .fields import Constant1, JumpLaw, RateField, Zero
-from .seeding import check_seed, path_seeds, pcg64_states, stream_b_states, streams
+from .seeding import _JUMP, check_seed, path_seeds, pcg64_states, stream_b_states
 
 __all__ = [
     "Trajectory",
@@ -93,11 +90,10 @@ __all__ = [
     "trajectory_csv",
 ]
 
-_BLOCK = 256  # events per stream-B block: walk draw contract 4
-_PASS = 16  # stream-B blocks per stream-A pass of _event_blocks
+_BLOCK = 256  # events per stream-B block: draw contract 5
+_PASS = 16  # stream-B blocks per stream-A pass of _path_blocks
 _CHUNK = 128  # events per lockstep chunk of _batch_chunks
 _BATCH = 512  # paths per lockstep sub-batch of _batch_chunks
-_CP_BLOCK = 4096  # proposals per compound-Poisson block after a path's first
 _ROWS = 4096  # rows or values per rendered piece of CSV and JSON output
 
 # 16-point Gauss-Legendre (node, weight) pairs on [-1, 1]: the floats of
@@ -187,13 +183,176 @@ def _walk_blocks(
 
 
 def _first_block(horizon: float) -> int:
-    """Proposals in a compound-Poisson path's first block (recipe 3, at
-    horizon rate_bound * horizon), and the waits of the lockstep walk's
-    first window (capped at ``_BLOCK``): min(4096, ceil(h + 8 sqrt(h) +
-    16)), since the count by h is Poisson(h)."""
-    if horizon >= 3600.0:  # where the rule reaches _CP_BLOCK; also inf
-        return _CP_BLOCK
-    return math.ceil(horizon + 8.0 * math.sqrt(horizon) + 16.0)
+    """Waits in the first window of ``_lockstep``: min(_BLOCK, ceil(h +
+    8 sqrt(h) + 16)) at horizon h (in proposals), since the count by h is
+    Poisson(h)."""
+    h = min(horizon, float(_BLOCK))  # the same minimum, and no inf to ceil
+    return min(_BLOCK, math.ceil(h + 8.0 * math.sqrt(h) + 16.0))
+
+
+def _blocks(
+    laws: Sequence[JumpLaw],
+    horizon: float,
+    scale: float,
+    paths: np.ndarray,
+    first: int,
+    cols: int,
+    rngs: Callable[[np.ndarray, int], Iterable[np.random.Generator]],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
+    """Draw contract 5 for ``paths``, window by window, until each has
+    crossed ``horizon``.
+
+    A window reads ``first`` waits of each path from stream A (``cols``
+    in every later window), times ``scale``, and makes them times with
+    one cumsum seeded with each row's carried time.  It puts the rows in
+    order of their counts k, the times up to the horizon, longest first,
+    so that the paths with an event at any column are a prefix of them,
+    and then reads each row's k stream-B values, block by block: the
+    uniforms, then the marks of each law of ``laws``.  It yields
+    ``(paths, times, uniforms, marks, counts)`` for the rows with k >= 1:
+    ``marks`` holds a view per law, None for a ``Constant1`` law, and
+    columns past a row's count are padding.  The views are overwritten
+    by the next window, so a consumer reduces them before asking for it.
+    A path whose waits fill its window goes on in the next, so every
+    window but one that its caller reads alone is a whole number of
+    blocks.
+
+    ``rngs(ps, s)`` gives, in the order of ``ps``, the stream-s
+    generators (0: A, 1: B) of those paths, each where its stream goes
+    on; each is asked for once per window, A before B.  The buffers are
+    reused from window to window, so memory grows with the paths times
+    the widest window.
+    """
+    drawn = [(law, j) for j, law in enumerate(laws) if not isinstance(law, Constant1)]
+    bufs: list = []
+    carry = None  # each row's last time, from the second window on
+    c = first
+    while paths.size:
+        n = paths.size
+        if not bufs or bufs[0].shape[1] != c:
+            # waits (then times) and uniforms, which trade buffers when
+            # the rows are put in order, then a buffer per law that draws;
+            # a window of n rows uses their first n
+            bufs = [np.zeros((n, c)) for _ in range(2)]
+            bufs += [None if isinstance(law, Constant1) else np.zeros((n, c)) for law in laws]
+            cols_c = np.arange(c)
+        t = bufs[0][:n]
+        for row, rng in zip(t, rngs(paths, 0)):
+            rng.standard_exponential(out=row)
+        if scale != 1.0:
+            t *= scale
+        if carry is not None:
+            t[:, 0] += carry
+        t.cumsum(axis=1, out=t)
+        k = (t <= horizon).sum(axis=1)
+        if n > 1 and (k[1:] > k[:-1]).any():
+            order = np.argsort(-k, kind="stable")  # longest first
+            # a clipped take writes straight into `out`, unbuffered
+            np.take(t, order, axis=0, out=bufs[1][:n], mode="clip")
+            bufs[0], bufs[1] = bufs[1], bufs[0]
+            paths, k = paths[order], k[order]
+        rows = int(np.count_nonzero(k))
+        t, u, *marks = (None if b is None else b[:rows] for b in bufs)
+        # with no marks to draw, a row's blocks are one run of uniforms
+        step = _BLOCK if drawn else c
+        for i, kc, rng in zip(range(rows), k.tolist(), rngs(paths[:rows], 1)):
+            for j0 in range(0, kc, step):
+                j1 = min(j0 + step, kc)
+                rng.random(out=u[i, j0:j1])
+                for law, j in drawn:
+                    law._draw(rng, marks[j][i, j0:j1])
+        if drawn:
+            # finish only the marks just drawn: the padding past a row's
+            # count was finished in an earlier window, or never drawn
+            fresh = cols_c < k[:rows, None]
+            for law, j in drawn:
+                law._finish(marks[j], where=fresh)
+        # the rows that fill the window, a prefix of them, go on
+        go = int(np.count_nonzero(k == c)) if rows and k[0] == c else 0
+        carry = t[:go, -1].copy()
+        if rows:
+            yield paths[:rows], t, u, marks, k[:rows]
+        paths = paths[:go]
+        c = cols
+
+
+def _path_blocks(
+    laws: Sequence[JumpLaw], horizon: float, scale: float, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
+    """The blocks of the one path of seed ``seed`` as (times, uniforms,
+    marks) arrays of its k events per pass, a ``Constant1`` law's marks
+    as ones: a first pass of one block, then passes of ``_PASS``
+    blocks.  The arrays are overwritten by the next pass.
+
+    One generator reads both streams, set to where the one asked for goes
+    on: stream B begins 2**96 words past A's start."""
+    rng = np.random.default_rng(seed)
+    bg = rng.bit_generator
+    start, parked, reading = bg.state, None, 0
+
+    def rngs(ps, s):
+        nonlocal parked, reading
+        if s != reading:
+            here = bg.state
+            if parked is None:  # stream B, from its start
+                bg.state = start
+                bg.advance(_JUMP)
+            else:
+                bg.state = parked
+            parked, reading = here, s
+        return (rng,)
+
+    for _, t, u, marks, k in _blocks(laws, horizon, scale, np.zeros(1, np.intp), _BLOCK,
+                                     _PASS * _BLOCK, rngs):
+        c = int(k[0])
+        yield t[0, :c], u[0, :c], [np.ones(c) if m is None else m[0, :c] for m in marks]
+
+
+def _lockstep(
+    seeds: Sequence[int], laws: Sequence[JumpLaw], horizon: float, scale: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
+    """``_blocks``' windows for the paths of ``seeds`` at once, ``paths``
+    indexing ``seeds``.
+
+    The first window holds ``_first_block(horizon / scale)`` waits, read
+    through one shared pair of generators set to each path's derived
+    starting states.  A path that fills it is dropped from it and starts
+    again on its own pair, made at that point, in windows of ``_BLOCK``
+    waits, each of which reads one whole B block or the path's last.
+    """
+    if horizon <= 0.0:
+        return
+    states = pcg64_states(seeds)
+    # A new PCG64 costs ~10 us and ~2 kB, so a path gets its own pair only
+    # when it fills its first window; all are seeded from one prebuilt
+    # SeedSequence (which halves that cost) that is never drawn from.
+    blank = np.random.SeedSequence(0)
+    shared = [np.random.Generator(np.random.PCG64(blank)) for _ in range(2)]
+
+    def at_states(ps, s):
+        sts = [states[p] for p in ps.tolist()]
+        return _at_states(shared[s], stream_b_states(sts) if s else sts)
+
+    def first_window():
+        # returns the paths that fill it, once their rows are read
+        n = _first_block(horizon / scale)
+        for paths, t, u, marks, k in _blocks(laws, horizon, scale, np.arange(len(states)), n, n,
+                                             at_states):
+            go = int(np.count_nonzero(k == n))
+            if go < k.size:
+                yield (paths[go:], t[go:], u[go:], [None if m is None else m[go:] for m in marks],
+                       k[go:])
+            return paths[:go]
+        return np.zeros(0, np.intp)  # no path has an event, so none goes on
+
+    live = yield from first_window()
+    own = {}
+    for p, b_state in zip(live.tolist(), stream_b_states(states[p] for p in live.tolist())):
+        own[p] = [np.random.Generator(np.random.PCG64(blank)) for _ in range(2)]
+        own[p][0].bit_generator.state = states[p]
+        own[p][1].bit_generator.state = b_state
+    yield from _blocks(laws, horizon, scale, live, _BLOCK, _BLOCK,
+                       lambda ps, s: (own[p][s] for p in ps.tolist()))
 
 
 def _event_blocks(
@@ -205,39 +364,12 @@ def _event_blocks(
     z0: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The path of seed ``seed`` as (times, signed jumps, z_after) arrays,
-    one non-empty tuple per pass of ``_PASS * _BLOCK`` waits."""
-    if horizon <= 0.0:
-        return
-    rng_a, rng_b = streams(seed)
+    one non-empty tuple per pass of ``_path_blocks``."""
     drift = rf.drift
     phi = drift.scalar_phi()
-    drawn = [(law, i) for i, law in enumerate((up_law, down_law)) if not isinstance(law, Constant1)]
-    n = _PASS * _BLOCK
-    # a block is its uniforms, then the marks of each random side, so
-    # with unit marks on both sides a pass's blocks are one run of uniforms
-    step = _BLOCK if drawn else n
     t = 0.0
     z = z0
-    while True:
-        # seeding the cumsum with the carried time makes every partial
-        # sum the left fold t + dt
-        tb = np.empty(n + 1)
-        tb[0] = t
-        rng_a.standard_exponential(out=tb[1:])
-        np.cumsum(tb, out=tb)
-        k = int(np.searchsorted(tb[1:], horizon, side="right"))
-        if k == 0:
-            return
-        tb = tb[1 : 1 + k]
-        us, marks = np.empty(k), np.ones((2, k))
-        for j0 in range(0, k, step):
-            j1 = min(j0 + step, k)
-            rng_b.random(out=us[j0:j1])
-            for law, i in drawn:
-                law._draw(rng_b, marks[i, j0:j1])
-        for law, i in drawn:
-            law._finish(marks[i])
-        ups, dns = marks
+    for tb, us, (ups, dns) in _path_blocks((up_law, down_law), horizon, 1.0, seed):
         # |phi| <= m from the pass's start on, so a uniform outside
         # [0.5 - m, 0.5 + m) settles the direction without phi; only the
         # open events in between run in Python
@@ -267,36 +399,11 @@ def _event_blocks(
         zb = np.cumsum(np.concatenate(((z,), sj)))[1:]
         t = float(tb[-1])
         z = float(zb[-1])
-        yield tb, sj, zb
-        if k < n:
-            return
-
-
-def _draw_rows(
-    rngs: Iterable[np.random.Generator],
-    waits: np.ndarray,
-    uniforms: np.ndarray,
-    marks: Sequence[tuple[JumpLaw, np.ndarray | None]],
-) -> None:
-    """Draw one whole block per path straight into its rows: from the
-    i-th generator, n waits into ``waits[i]``, n uniforms into
-    ``uniforms[i]``, then n marks into row i of each ``(law, buffer)`` of
-    ``marks`` in turn, n being the buffers' width; each buffer is
-    finished once, at the end, so ``rngs`` gives one generator per row.
-    A ``Constant1`` law draws no words and needs no buffer, so its entry
-    is skipped."""
-    drawn = [(law, m) for law, m in marks if not isinstance(law, Constant1)]
-    for i, rng in enumerate(rngs):
-        rng.standard_exponential(out=waits[i])
-        rng.random(out=uniforms[i])
-        for law, m in drawn:
-            law._draw(rng, m[i])
-    for law, m in drawn:
-        law._finish(m)
+        yield tb.copy(), sj, zb
 
 
 def _at_states(
-    rng: np.random.Generator, states: Sequence[dict]
+    rng: np.random.Generator, states: Iterable[dict]
 ) -> Iterator[np.random.Generator]:
     """``rng`` set in turn to each of ``states``."""
     for state in states:
@@ -321,40 +428,17 @@ def _batch_chunks(
     columns past a row's count are padding.  The views are overwritten
     by the next chunk, so a consumer reduces them before asking for it.
 
-    Paths run in sub-batches of ``_BATCH``, window by window.  A window
-    draws each live path's waits from stream A into a row, counts its
-    events with one cumsum, puts the rows in order of their counts,
-    longest first (so the paths in any chunk are a prefix of the rows),
-    draws exactly those events' stream-B values and walks them
-    ``_CHUNK`` columns at a time.  The first window holds
-    ``min(_first_block(horizon), _BLOCK)`` waits, read through one shared
-    pair of generators set to each path's derived starting states.  A
-    path that fills it starts again on its own pair, made at that point,
-    in windows of ``_BLOCK`` waits, each of which reads one whole B block
-    or the path's last.  The buffers are reused from window to window, so
-    memory grows with ``_BATCH * _BLOCK``.  A ``Constant1`` side keeps no
-    buffer and draws nothing: its steps are the scalars +1 (up) and -1
-    (down).
+    Paths run in sub-batches of ``_BATCH`` on ``_lockstep``'s windows,
+    each walked ``_CHUNK`` columns at a time; a window's rows are in
+    order of their counts, longest first, so the paths in any chunk are
+    a prefix of them.  The window buffers are reused, so memory grows
+    with ``_BATCH * _BLOCK``.  A ``Constant1`` side keeps no buffer and
+    draws nothing: its steps are the scalars +1 (up) and -1 (down).  The
+    states are placed in the uniforms' buffer, each column once its
+    uniforms are read.
     """
-    if horizon <= 0.0:
-        return
     phi = None if isinstance(rf.drift, Zero) else rf.drift.phi
-    width = min(_BATCH, len(seeds))
-    # A new PCG64 costs ~10 us and ~2 kB, so a path gets its own pair only
-    # when it fills its first window; the pairs are kept for the next
-    # sub-batch, and seeded from one prebuilt SeedSequence (which halves
-    # that cost) that is never drawn from.
-    blank = np.random.SeedSequence(0)
-    shared_a, shared_b = (np.random.Generator(np.random.PCG64(blank)) for _ in range(2))
-    pool: list[list[np.random.Generator]] = []
     unit_up, unit_dn = isinstance(up_law, Constant1), isinstance(down_law, Constant1)
-    # waits (then times) and uniforms (then z_after), which trade buffers
-    # when the rows are put in order; up marks and down marks (negated by
-    # the walk), none for a unit side.  A window of c columns uses the
-    # first rows x c entries, so a short first window touches little of
-    # them.
-    bufs = [None if unit else np.zeros(width * _BLOCK) for unit in (False, False, unit_up, unit_dn)]
-    drawn = [(law, j) for j, law in enumerate((up_law, down_law)) if bufs[2 + j] is not None]
 
     def walk(rows, counts, t, z, a, d):
         # the rows' times are in t; place their first counts[i] events
@@ -377,67 +461,18 @@ def _batch_chunks(
             for tc, zc, ac, dc in zip(t.T, z.T, ups, dns):
                 # the column's uniforms are read before its states replace them
                 zs = np.add(zs, np.where(zc < 0.5 + phi(zs, tc), ac, dc), out=zc)
-        last = (np.arange(rows.size), counts - 1)
-        t_carry[rows] = t[last]
-        z_carry[rows] = z[last]
+        z_carry[rows] = z[np.arange(rows.size), counts - 1]
         return rows + lo, t, z, counts
 
-    def window(paths, cols, a_rngs, b_rngs, first=False):
-        # one window of `cols` waits for the sub-batch's `paths`, drawn
-        # from a_rngs in order and walked; b_rngs(rows) gives the rows'
-        # B generators.  Returns the paths that fill it.
-        n = paths.size
-        t = bufs[0][: n * cols].reshape(n, cols)
-        for row, rng in zip(t, a_rngs):
-            rng.standard_exponential(out=row)
-        t[:, 0] += t_carry[paths]
-        np.cumsum(t, axis=1, out=t)
-        k = np.count_nonzero(t <= horizon, axis=1)
-        go = paths[k == cols]
-        if first:
-            k[k == cols] = 0  # these start again on their own generators
-        if np.any(k[1:] > k[:-1]):
-            order = np.argsort(-k, kind="stable")  # longest first
-            # a clipped take writes straight into `out`, unbuffered
-            np.take(t, order, axis=0, out=bufs[1][: n * cols].reshape(n, cols), mode="clip")
-            bufs[0], bufs[1] = bufs[1], bufs[0]
-            paths, k = paths[order], k[order]
-        rows = int(np.count_nonzero(k))
-        t, u, *marks = (None if b is None else b[: n * cols].reshape(n, cols)[:rows] for b in bufs)
-        for i, c, rng in zip(range(rows), k.tolist(), b_rngs(paths[:rows].tolist())):
-            rng.random(out=u[i, :c])
-            for law, j in drawn:
-                law._draw(rng, marks[j][i, :c])
-        if drawn:
-            # finish only the marks just drawn: the padding past a row's
-            # count was finished in an earlier window, or never drawn
-            fresh = np.arange(cols) < k[:rows, None]
-            for law, j in drawn:
-                law._finish(marks[j], where=fresh)
-        for c0 in range(0, int(k[0]) if rows else 0, _CHUNK):
-            counts = np.minimum(k - c0, _CHUNK)
-            m = int(np.count_nonzero(counts > 0))
-            yield walk(paths[:m], counts[:m],
-                       *(None if b is None else b[:m, c0 : c0 + _CHUNK] for b in (t, u, *marks)))
-        return go
-
     for lo in range(0, len(seeds), _BATCH):
-        states = pcg64_states(seeds[lo : lo + _BATCH])
-        t_carry = np.zeros(len(states))
-        z_carry = np.full(len(states), z0, dtype=float)
-        live = yield from window(
-            np.arange(len(states)), min(_first_block(horizon), _BLOCK), _at_states(shared_a, states),
-            lambda rows: _at_states(shared_b, stream_b_states(states[p] for p in rows)), first=True,
-        )
-        pool += [[np.random.Generator(np.random.PCG64(blank)) for _ in range(2)]
-                 for _ in range(live.size - len(pool))]
-        own = dict(zip(live.tolist(), pool))
-        for p, b_state in zip(live.tolist(), stream_b_states(states[p] for p in live.tolist())):
-            own[p][0].bit_generator.state = states[p]
-            own[p][1].bit_generator.state = b_state
-        while live.size:
-            live = yield from window(live, _BLOCK, (own[p][0] for p in live.tolist()),
-                                     lambda rows: (own[p][1] for p in rows))
+        batch = seeds[lo : lo + _BATCH]
+        z_carry = np.full(len(batch), z0, dtype=float)
+        for paths, t, u, marks, k in _lockstep(batch, (up_law, down_law), horizon, 1.0):
+            for c0 in range(0, int(k[0]), _CHUNK):
+                counts = np.minimum(k - c0, _CHUNK)
+                m = int(np.count_nonzero(counts > 0))
+                yield walk(paths[:m], counts[:m],
+                           *(None if b is None else b[:m, c0 : c0 + _CHUNK] for b in (t, u, *marks)))
 
 
 def simulate_compound_poisson(
@@ -448,7 +483,7 @@ def simulate_compound_poisson(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One compound-Poisson path by thinning a rate-bound proposal clock
-    (draw recipe 3, see the module docstring).
+    (draw contract 5, see the module docstring).
 
     ``rate`` is the deterministic intensity, ``rate_bound`` a finite
     upper bound for it on [0, horizon].  Returns event times and marks.
@@ -464,57 +499,25 @@ def simulate_compound_poisson(
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be nonnegative and finite")
     check_seed(seed)
-    return _compound_poisson(np.random.default_rng(seed), rate, rate_bound, law, horizon, horizon)
-
-
-def _compound_poisson(
-    rng: np.random.Generator,
-    rate: Callable,
-    rate_bound: float,
-    law: JumpLaw,
-    horizon: float,
-    stop: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recipe 3 from ``rng``'s position: the accepted event times and
-    marks on (0, horizon].  Returns after the first block holding an
-    accepted event past ``stop``, since nothing drawn after it is read."""
-    scale = 1.0 / rate_bound
-    t = 0.0
-    n = _first_block(rate_bound * horizon)
-    times: list[np.ndarray] = []
-    marks: list[np.ndarray] = []
-    while True:
-        tb = rng.standard_exponential(n)
-        tb *= scale
-        tb[0] += t
-        np.cumsum(tb, out=tb)
-        u = rng.random(n)
-        mb = law.sample_block(rng, n)
-        on = _accepted(rate, rate_bound, tb, u, horizon)
+    times, marks = [np.empty(0)], [np.empty(0)]
+    for tb, u, (mb,) in _path_blocks((law,), horizon, 1.0 / rate_bound, seed):
+        on = _accepted(rate, rate_bound, tb, u)
         times.append(tb[on])
         marks.append(mb[on])
-        if tb[-1] > horizon or (times[-1].size and times[-1][-1] > stop):
-            return np.concatenate(times), np.concatenate(marks)
-        t = float(tb[-1])
-        n = _CP_BLOCK
+    return np.concatenate(times), np.concatenate(marks)
 
 
-def _accepted(
-    rate: Callable, rate_bound: float, times: np.ndarray, u: np.ndarray, horizon: float
-) -> np.ndarray:
-    """Recipe 3's thinning of proposals of any shape: proposal i is
-    accepted iff t_i <= horizon and u_i * rate_bound <= rate(t_i).
-    Raises if ``rate`` leaves [0, rate_bound] at a proposal time up to
-    the horizon."""
-    on = times <= horizon
-    ts = times[on]
-    r = np.broadcast_to(rate(ts), ts.shape)
+def _accepted(rate: Callable, rate_bound: float, times: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The thinning of proposals up to the horizon: proposal i is
+    accepted iff u_i * rate_bound <= rate(t_i).  Raises if ``rate``
+    leaves [0, rate_bound] at a proposal time."""
+    r = np.asarray(rate(times))
     ok = (r >= -1e-15) & (r <= rate_bound * (1.0 + 1e-12))  # NaN fails too
     if not ok.all():
+        r, ok = np.broadcast_arrays(r, ok, times)[:2]
         i = int(np.argmin(ok))
-        raise ValueError(f"rate(t)={float(r[i])} falls outside [0, rate_bound] at t={float(ts[i])}")
-    on[on] = u[on] * rate_bound <= r
-    return on
+        raise ValueError(f"rate(t)={float(r[i])} falls outside [0, rate_bound] at t={float(times[i])}")
+    return u * rate_bound <= r
 
 
 def _integrals(rate: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -711,11 +714,11 @@ def martingale_check(
     from ``law``, observed on (0, horizon].
 
     Path i is ``simulate_compound_poisson(r, rate, law, horizon,
-    path_seed(seed, i))`` with r the constant ``rate`` (drawn only up to
-    its first event past tau), and its residuals are
-    ``compensator_report``'s, bit for bit.  Paths are drawn ``_CHUNK``
-    at a time into rows and priced by one ``_compensate`` call per
-    sub-batch (see the module docstring).
+    path_seed(seed, i))`` with r the constant ``rate``, and its residuals
+    are ``compensator_report``'s, bit for bit.  The paths are thinned on
+    ``_lockstep``'s windows, in spans of at most ``_BATCH`` paths and
+    about ``_BATCH * _CHUNK`` proposals, each priced by one
+    ``_compensate`` call (see the module docstring).
     """
     if not 0.0 < rate < math.inf:  # written so that NaN fails too
         raise ValueError("rate must be positive and finite")
@@ -729,58 +732,42 @@ def martingale_check(
     intensity = lambda t: rate  # noqa: E731 - constant intensity
     lit = np.empty(n_paths)
     ens = np.empty(n_paths)
-    n = _first_block(rate * horizon)
-    # paths priced by one _compensate call, their cells capped so that
-    # memory does not grow with rate * horizon; drawn _CHUNK at a time
-    width = max(1, min(_BATCH, _BATCH * _CHUNK // n))
-    w, u, m = np.empty((3, min(width, _CHUNK, n_paths), n))
-    if isinstance(law, Constant1):
-        m.fill(1.0)
-    rng = np.random.Generator(np.random.PCG64(0))
+    # paths priced by one _compensate call, their proposals capped so
+    # that memory does not grow with rate * horizon
+    width = max(1, min(_BATCH, _BATCH * _CHUNK // max(1, math.ceil(rate * horizon))))
     for lo in range(0, n_paths, width):
-        states = pcg64_states(path_seeds(seed, lo, min(lo + width, n_paths)))
-        # the paths in the order their events go into times: order holds
-        # their indices, counts and nxt their event counts to tau and
-        # next marks; the paths drawn again come last
-        times, marks, counts, nxt, order = [], [], [], [], []
-        again: list[int] = []
-        for g in range(0, len(states), _CHUNK):
-            group = states[g : g + _CHUNK]
-            tb, ub, mb = w[: len(group)], u[: len(group)], m[: len(group)]
-            _draw_rows(_at_states(rng, group), tb, ub, ((law, mb),))
-            tb *= 1.0 / rate
-            np.cumsum(tb, axis=1, out=tb)
-            on = _accepted(intensity, rate, tb, ub, horizon)
-            before = on & (tb <= tau)
+        seeds = path_seeds(seed, lo, min(lo + width, n_paths))
+        # each path's events up to tau, window by window, with the path
+        # they belong to; its next mark is the first accepted past tau
+        times, marks, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, np.intp)]
+        nxt = np.ones(seeds.size)
+        seen = np.zeros(seeds.size, bool)
+        for paths, t, u, (m,), k in _lockstep(seeds, (law,), horizon, 1.0 / rate):
+            valid = np.arange(t.shape[1]) < k[:, None]
+            on = np.zeros(t.shape, bool)
+            on[valid] = _accepted(intensity, rate, t[valid], u[valid])
+            m = np.ones(t.shape) if m is None else m
+            before = on & (t <= tau)
             after = on & ~before
-            first = np.argmax(after, axis=1)  # each row's first accepted event past tau
-            rows = np.arange(len(group))
-            has_next = after[rows, first]
-            # a path whose first block ends inside the horizon with no
-            # accepted event past tau goes on: it is drawn again, whole
-            once = (tb[:, -1] > horizon) | has_next
-            before &= once[:, None]
-            times.append(tb[before])
-            marks.append(mb[before])
-            counts.append(np.count_nonzero(before, axis=1)[once])
-            nxt.append(np.where(has_next, mb[rows, first], 1.0)[once])
-            order.append(g + rows[once])
-            again += (g + rows[~once]).tolist()
-        for i in again:
-            rng.bit_generator.state = states[i]
-            ts, ms = _compound_poisson(rng, intensity, rate, law, horizon, tau)
-            k = int(np.searchsorted(ts, tau, side="right"))
-            times.append(ts[:k])
-            marks.append(ms[:k])
-            counts.append([k])
-            nxt.append([ms[k] if k < ms.size else 1.0])
-        order.append(np.array(again, dtype=int))
+            times.append(t[before])
+            marks.append(m[before])
+            owner.append(np.repeat(paths, np.count_nonzero(before, axis=1)))
+            rows = np.arange(paths.size)
+            first = np.argmax(after, axis=1)
+            new = after[rows, first] & ~seen[paths]
+            nxt[paths[new]] = m[rows[new], first[new]]
+            seen[paths[new]] = True
+        t = u = m = None  # the last window's buffers go before the pricing
+        owner = np.concatenate(owner)
+        # each path's events together, in time order: windows come in
+        # time order, and a stable sort keeps it
+        order = np.argsort(owner, kind="stable")
         raw, literal, ensemble = _compensate(
-            intensity, tau, *(np.concatenate(v) for v in (times, marks, counts, nxt))
+            intensity, tau, np.concatenate(times)[order], np.concatenate(marks)[order],
+            np.bincount(owner, minlength=seeds.size), nxt,
         )
-        at = lo + np.concatenate(order)
-        lit[at] = raw - literal
-        ens[at] = raw - ensemble
+        lit[lo : lo + seeds.size] = raw - literal
+        ens[lo : lo + seeds.size] = raw - ensemble
     return MartingaleCheck(
         n_paths=n_paths,
         tau=tau,

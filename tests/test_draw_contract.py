@@ -15,6 +15,8 @@ Draw contract 4 (0.4.0) moved the ``simulate``, ``wald`` and
 The ``experiment`` JSON record holds only the ensemble's summary, which
 at seed 2**64 - 1 came out the same under both contracts, so the
 ``experiment_csv`` records (one row per path) pin the paths themselves.
+Draw contract 5 (0.5.0) put compound-Poisson paths on the walk's two
+streams, so it moved only the ``martingale`` records.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import pytest
 import driftlab
 from driftlab.cli import main
 
-VERSION = "0.4.0"
+VERSION = "0.5.0"
 
 UNIT = "jumps: {up: {family: constant1}, down: {family: constant1}}\n"
 GAMMA_EXP = "jumps: {up: {family: gamma_mean1, k: 2.0}, down: {family: exponential_mean1}}\n"
@@ -53,8 +55,8 @@ DIGESTS = {
     ("simulate_power_law", 2**64 - 1): "d0d3e8878d4a66c52a9c8540da0f8fab59cd82c9da6e628fedc1d379b601aefb",
     ("wald", 7): "639bc815a4fba85d0182544971f378e3f177b0938f1f14c7c3bcfc4c138a7627",
     ("wald", 2**64 - 1): "620143655be981872652e5262f689806b5f098a8ad08790bff884c8acb12d239",
-    ("martingale", 7): "58e8c6e40e91ec6f5d429914c9dfe7c087ef899efbc6b3aff143fa9d0285e209",
-    ("martingale", 2**64 - 1): "97535b03aa116c210253c3019e3a69ffe974f059afb6455283a66d644c8eccf7",
+    ("martingale", 7): "dbd6470fa6123b1a4df2a1751de9287ea30d08c8f7fdf6180dac1cd84051c754",
+    ("martingale", 2**64 - 1): "80dde26e9f6dcc6ced5110acfd8008c48b5452f779999befe7cc645bb8bea4fd",
     ("experiment", 7): "50a87ff1851ac5333a95fa9b70eb210ededfb316dbed7b84d5b693f7ccbaf564",
     ("experiment", 2**64 - 1): "161fba803c2657de5b99bdbd82fd51b1abdc31d6feb59b5229c9dff31c8cda4f",
     ("experiment_csv", 7): "70c10b4b23240288712afcea84122b8e41b513638a0370b5762ab97c10f5fb8e",

@@ -112,13 +112,14 @@ class TestSimulateWalk:
 
 
 def reference_walk(rf, up_law, down_law, horizon, seed, z0=0.0, block=256):
-    """Reference for walk draw contract 4, one event at a time.  The waits
-    come from stream A, ``default_rng(seed)``, until one crosses the
-    horizon.  Stream B, the same stream advanced 2**96 words, then gives
-    per block of ``block`` events (the last holding what is left) the
-    block's uniforms, up marks and down marks.  Each event is split by
-    the scalar phi at its time and the state before it.  Returns the
-    times, signed jumps, z_after and direction uniforms."""
+    """Reference for walk paths under draw contract 5 (as under 4), one
+    event at a time.  The waits come from stream A, ``default_rng(seed)``,
+    until one crosses the horizon.  Stream B, the same stream advanced
+    2**96 words, then gives per block of ``block`` events (the last
+    holding what is left) the block's uniforms, up marks and down marks.
+    Each event is split by the scalar phi at its time and the state
+    before it.  Returns the times, signed jumps, z_after and direction
+    uniforms."""
     a = np.random.default_rng(seed)
     b = np.random.default_rng(seed)
     b.bit_generator.advance(1 << 96)
@@ -195,11 +196,27 @@ def test_paths_overflowing_the_first_block(monkeypatch, rf, law, horizon):
 
 
 @pytest.mark.parametrize(
-    "horizon,n", [(0.0, 16), (1.0, 25), (3599.0, 4095), (3600.0, 4096), (1e9, 4096), (math.inf, 4096)]
+    "horizon,n", [(0.0, 16), (1.0, 25), (143.0, 255), (144.0, 256), (1e9, 256), (math.inf, 256)]
 )
 def test_first_block_size(horizon, n):
-    # min(4096, ceil(h + 8 sqrt(h) + 16))
+    # min(256, ceil(h + 8 sqrt(h) + 16))
     assert simulator._first_block(horizon) == n
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+@pytest.mark.parametrize("horizon", [30.0, 300.0, 5000.0])
+def test_compound_poisson_and_walk_paths_share_one_generator(law, seed, horizon):
+    # with rate == rate_bound == 1 every proposal is accepted, and with
+    # a Zero field and unit down-steps the walk's stream B holds the same
+    # words: per block the uniforms, then the up law's marks
+    traj = simulate_walk(ZERO, law, Constant1(), horizon, seed)
+    times, marks = simulate_compound_poisson(lambda t: 1.0, 1.0, law, horizon, seed)
+    assert same_bits(times, traj.times)
+    up = traj.jumps > 0
+    assert same_bits(marks[up], traj.jumps[up])
+    # past one 256-event block, and past a first pass and a 4096-wait one
+    assert traj.n_events > {30.0: 0, 300.0: 256, 5000.0: 256 + 4096}[horizon]
 
 
 class MantissaParity(DriftField):
@@ -622,26 +639,34 @@ def scalar_report(times, marks, rate, tau):
     return raw, done + mark * tail, done + tail, mode
 
 
-def scalar_path(rate, rate_bound, law, horizon, seed):
-    """Reference for draw recipe 3, one proposal at a time: blocks of n
-    waits, n uniforms and n marks (n = ``_first_block(rate_bound *
-    horizon)``, then 4096), proposal i at t + wait accepted iff it is
-    inside the horizon and u_i * rate_bound <= rate(t), with mark i."""
-    rng = np.random.default_rng(seed)
-    t, times, marks = 0.0, [], []
-    n = simulator._first_block(rate_bound * horizon)
+def scalar_path(rate, rate_bound, law, horizon, seed, block=256):
+    """Reference for draw contract 5, one proposal at a time.  The waits
+    come from stream A, ``default_rng(seed)``, each times 1 / rate_bound,
+    until one crosses the horizon.  Stream B, the same stream advanced
+    2**96 words, then gives per block of ``block`` proposals (the last
+    holding what is left) the block's uniforms, then its marks.
+    Proposal i at time t is accepted iff u_i * rate_bound <= rate(t),
+    with mark i."""
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    b.bit_generator.advance(1 << 96)
+    scale = 1.0 / rate_bound
+    proposals, t = [], 0.0
     while True:
-        waits = rng.exponential(1.0 / rate_bound, n).tolist()
-        us = rng.random(n).tolist()
-        ms = law.sample_block(rng, n).tolist()
-        for w, u, m in zip(waits, us, ms):
-            t += w
-            if t > horizon:
-                return np.array(times), np.array(marks)
-            if u * rate_bound <= rate(t):
-                times.append(t)
+        t += a.standard_exponential() * scale
+        if t > horizon:
+            break
+        proposals.append(t)
+    times, marks = [], []
+    for j0 in range(0, len(proposals), block):
+        c = min(block, len(proposals) - j0)
+        us = b.random(c).tolist()
+        ms = law.sample_block(b, c).tolist()
+        for tn, u, m in zip(proposals[j0 : j0 + c], us, ms):
+            if u * rate_bound <= rate(tn):
+                times.append(tn)
                 marks.append(m)
-        n = 4096
+    return np.array(times), np.array(marks)
 
 
 def scalar_martingale(rate, law, tau, horizon, n_paths, seed):
@@ -718,20 +743,26 @@ def test_martingale_check_sub_batches_of_three(monkeypatch, law):
 @pytest.mark.parametrize("first,chunk", [(2, None), (None, 4), (2, 4)],
                          ids=["first-block-2", "chunk-4", "both"])
 def test_martingale_check_groups_and_paths_drawn_again(monkeypatch, law, tau, first, chunk):
-    # a 2-proposal first block ends inside the horizon for most paths,
-    # which are then drawn again, whole; _CHUNK 4 draws rows 4 at a time
-    # and caps a sub-batch at 512 * 4 // n paths
+    # a 2-wait first window is filled by most paths, which are then drawn
+    # again from their start, each on its own pair of generators; _CHUNK
+    # 4 caps a span at 512 * 4 // 6 = 341 of the 400 paths
     if first:
         monkeypatch.setattr(simulator, "_first_block", lambda h: first)
     if chunk:
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
-    again = []
-    whole = simulator._compound_poisson
-    monkeypatch.setattr(simulator, "_compound_poisson", lambda *a: (again.append(1), whole(*a))[1])
-    args = (0.5, law, tau, MARTINGALE_HORIZON, 150, 2**40 + 9)
+    spans, again = [], []
+    blocks = simulator._blocks
+
+    def counted(laws, horizon, scale, paths, n, cols, rngs):
+        (again if n == simulator._BLOCK else spans).append(paths.size)
+        return blocks(laws, horizon, scale, paths, n, cols, rngs)
+
+    monkeypatch.setattr(simulator, "_blocks", counted)
+    args = (0.5, law, tau, MARTINGALE_HORIZON, 400, 2**40 + 9)
     chk, seen = run_martingale_check(monkeypatch, *args)
     assert_matches_scalar_loop(chk, seen, *args)
-    assert (len(again) > 20) == (first is not None)
+    assert spans == ([341, 59] if chunk else [400])
+    assert (sum(again) > 300) == (first is not None)
 
 
 def test_martingale_check_memory_does_not_grow_with_rate_times_horizon():
@@ -841,15 +872,18 @@ def test_compound_poisson_path_matches_the_scalar_loop(law, rate, bound):
 @pytest.mark.parametrize("rate,bound", VARIABLE_RATES, ids=["decaying", "rising"])
 def test_compound_poisson_blocks_after_the_first_match_the_scalar_loop(monkeypatch, law, rate,
                                                                        bound):
-    # 2-proposal first blocks: every path goes on in blocks of 4096
-    monkeypatch.setattr(simulator, "_first_block", lambda h: 2)
-    events = 0
+    # 4-proposal blocks, read in passes of 2 after the first: every path
+    # goes on past its first block, some past its second pass
+    monkeypatch.setattr(simulator, "_BLOCK", 4)
+    monkeypatch.setattr(simulator, "_PASS", 2)
+    proposals = []
     for seed in range(5):
         got = simulate_compound_poisson(rate, bound, law, 20.0, seed)
-        want = scalar_path(rate, bound, law, 20.0, seed)
+        want = scalar_path(rate, bound, law, 20.0, seed, block=4)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-        events += got[0].size
-    assert events > 2 * 5
+        waits = np.random.default_rng(seed).standard_exponential(64) * (1.0 / bound)
+        proposals.append(int(np.searchsorted(np.cumsum(waits), 20.0, side="right")))
+    assert min(proposals) > 4 and max(proposals) > 4 + 2 * 4
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0, 10.0, 1.0 / 3.0, 1.0 / 7.3, 1e-3])
