@@ -20,107 +20,13 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .classifier import (
-    BDChain,
-    Classification,
-    DECISION_MARGIN,
-    Verdict,
-    bd_series_criterion,
-    classify_bd_bilateral,
-    classify_mv_critical,
-    classify_theorem1,
-    discretize_to_bd,
-    ratio_family_chain,
-    ratio_test,
-)
-from .experiments import (
-    BalanceResidual,
-    ExperimentReport,
-    OccupancyEstimate,
-    PathOutcome,
-    RecurrenceExperiment,
-    balance_residual,
-    estimate_occupancy,
-    experiment_csv,
-    run_recurrence_experiment,
-    solve_balance_window,
-    wilson_interval,
-)
-from .fields import (
-    Constant1,
-    CriticalLamperti,
-    DriftField,
-    ExponentialMean1,
-    GammaMean1,
-    JumpLaw,
-    MeanReverting,
-    PowerLaw,
-    RateField,
-    Tabulated,
-    UniformMean1,
-    Zero,
-)
+from . import classifier, experiments, fields, simulator
+from .classifier import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .fields import *  # noqa: F401,F403
 from .seeding import path_seed
-from .simulator import (
-    CompensatorReport,
-    MartingaleCheck,
-    ResidualMean,
-    Trajectory,
-    WaldCheck,
-    compensator_report,
-    martingale_check,
-    simulate_compound_poisson,
-    simulate_walk,
-    trajectory_csv,
-    wald_second_moment_check,
-)
+from .simulator import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "BDChain",
-    "BalanceResidual",
-    "Classification",
-    "CompensatorReport",
-    "Constant1",
-    "CriticalLamperti",
-    "DECISION_MARGIN",
-    "DriftField",
-    "ExperimentReport",
-    "ExponentialMean1",
-    "GammaMean1",
-    "JumpLaw",
-    "MartingaleCheck",
-    "MeanReverting",
-    "OccupancyEstimate",
-    "PathOutcome",
-    "PowerLaw",
-    "RateField",
-    "RecurrenceExperiment",
-    "ResidualMean",
-    "Tabulated",
-    "Trajectory",
-    "UniformMean1",
-    "Verdict",
-    "WaldCheck",
-    "Zero",
-    "balance_residual",
-    "bd_series_criterion",
-    "classify_bd_bilateral",
-    "classify_mv_critical",
-    "classify_theorem1",
-    "compensator_report",
-    "discretize_to_bd",
-    "estimate_occupancy",
-    "experiment_csv",
-    "martingale_check",
-    "path_seed",
-    "ratio_family_chain",
-    "ratio_test",
-    "run_recurrence_experiment",
-    "simulate_compound_poisson",
-    "simulate_walk",
-    "solve_balance_window",
-    "trajectory_csv",
-    "wald_second_moment_check",
-    "wilson_interval",
-]
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__", "path_seed", *classifier.__all__, *experiments.__all__,
+           *fields.__all__, *simulator.__all__]

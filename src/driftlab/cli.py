@@ -322,7 +322,6 @@ def _params_check(s: _Sect) -> dict:
             "window_min": s.take("window_min", "int", default=-10),
             "window_max": s.take("window_max", "int", default=10),
             "quadrature_points": s.take("quadrature_points", "int", default=8, lo=1),
-            "compare_exact": s.take("compare_exact", "bool", default=True),
         }
         if p["window_max"] - p["window_min"] < 2:
             raise ConfigError("check.window_max: window needs at least 3 cells")
@@ -397,8 +396,9 @@ def _validate(raw: Any) -> RunConfig:
     )
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate YAML config text.
+def parse_config(text: str, overrides: Iterable[tuple[str, Any]] = ()) -> RunConfig:
+    """Parse YAML config text, set each ``(dotted key, value)`` of
+    ``overrides`` in order (a later one wins), and validate the result.
 
     Raises ConfigError with a dotted key path (or the YAML parser's
     line/column) on any problem.  Defaults are resolved here;
@@ -408,7 +408,28 @@ def parse_config(text: str) -> RunConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML: {e}") from e
+    if raw is None:
+        raw = {}
+    for dotted, value in overrides:
+        _assign(raw, dotted, value)
     return _validate(raw)
+
+
+def _assign(raw: Any, dotted: str, value: Any) -> None:
+    """Set ``dotted`` in ``raw``, making each missing or null mapping on
+    the way; a non-mapping on the way is a ConfigError naming ``dotted``."""
+    keys = dotted.split(".")
+    node = raw
+    for i, k in enumerate(keys):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{dotted}: {'.'.join(keys[:i]) or 'config'} is not a mapping")
+        if i == len(keys) - 1:
+            node[k] = value
+        elif isinstance(node.get(k), dict):
+            node[k] = dict(node[k])  # a copy: a mapping an override passed in is not changed
+        elif node.get(k) is None:
+            node[k] = {}
+        node = node[k]
 
 
 def _sanitize(v: Any) -> Any:
@@ -661,7 +682,8 @@ def _check_balance(rc: RunConfig) -> _Output:
     occ = estimate_occupancy(rf, rc.up_law, rc.down_law, p["total_time"], w, rc.seed)
     chain = discretize_to_bd(rf, w[0] - 1, w[1] + 1, p["quadrature_points"])
     br = balance_residual(occ, chain)
-    result: dict[str, Any] = {
+    exact_l1 = balance_residual(solve_balance_window(chain, w[0], w[1]), chain).l1
+    result = {
         "kind": "balance",
         "window": [w[0], w[1]],
         "total_time": p["total_time"],
@@ -670,18 +692,11 @@ def _check_balance(rc: RunConfig) -> _Output:
         "residuals": br.residuals,
         "occupancy": occ.p_star,
         "occupied_mass": float(np.sum(occ.p_star)),
+        "exact_l1": exact_l1,
     }
-    summary = f"balance l1={_fmt_num(br.l1)} cells=[{br.n_lo},{br.n_hi}]"
-    code = 0
-    if p["compare_exact"]:
-        exact = solve_balance_window(chain, w[0], w[1])
-        brx = balance_residual(exact, chain)
-        result["exact_l1"] = brx.l1
-        summary += f" exact_l1={brx.l1:.3g}"
-        if rc.strict and not brx.l1 < 1e-10:
-            code = 1
+    summary = f"balance l1={_fmt_num(br.l1)} cells=[{br.n_lo},{br.n_hi}] exact_l1={exact_l1:.3g}"
     yield from _record_chunks(rc, result)
-    return code, summary
+    return (1 if rc.strict and not exact_l1 < 1e-10 else 0), summary
 
 
 class _Command(NamedTuple):
@@ -756,18 +771,7 @@ def run(rc: RunConfig) -> int:
     return code
 
 
-def _assign(raw: dict, dotted: str, value: Any) -> None:
-    keys = dotted.split(".")
-    node = raw
-    for k in keys[:-1]:
-        nxt = node.get(k)
-        if nxt is None:
-            nxt = {}
-            node[k] = nxt
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"--set {dotted}: {k} is not a mapping")
-        node = nxt
-    node[keys[-1]] = value
+_FLAGS = ("seed", "strict", "workers", "output.path", "output.format")  # argparse dests
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -777,19 +781,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         "from a YAML config.",
     )
     ap.add_argument("config", help="path to the YAML config file")
+    # each flag is shorthand for --set of its dest, and is applied after them
     ap.add_argument("--seed", type=int, help="override the seed")
-    ap.add_argument("--out", help="override output.path")
-    ap.add_argument("--format", choices=("json", "csv"), help="override output.format")
-    ap.add_argument("--strict", action="store_true", help="exit 1 on Inconclusive verdicts")
+    ap.add_argument("--out", dest="output.path", metavar="OUT", help="override output.path")
+    ap.add_argument("--format", dest="output.format", choices=("json", "csv"),
+                    help="override output.format")
+    ap.add_argument("--strict", action="store_const", const=True,
+                    help="exit 1 on Inconclusive verdicts")
     ap.add_argument("--workers", type=int, help="override worker count (0 = auto)")
-    ap.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        dest="sets",
-        help="override any config key by dotted path (value parsed as YAML)",
-    )
+    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", dest="sets",
+                    help="override any config key by dotted path (value parsed as YAML)")
     ap.add_argument("--version", action="version", version=f"driftlab {__version__}")
     try:
         args = ap.parse_args(argv)
@@ -804,45 +805,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
 
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        print(f"driftlab: invalid YAML in {args.config}: {e}", file=sys.stderr)
-        return 2
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        print(f"driftlab: config root must be a mapping: {args.config}", file=sys.stderr)
-        return 2
-
-    try:
+        overrides = []
         for kv in args.sets:
             if "=" not in kv:
                 raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
             key, _, val = kv.partition("=")
             try:
-                parsed = yaml.safe_load(val) if val != "" else None
+                overrides.append((key, yaml.safe_load(val)))
             except yaml.YAMLError as e:
                 raise ConfigError(f"--set {key}: invalid value: {e}") from e
-            _assign(raw, key, parsed)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.strict:
-            raw["strict"] = True
-        if args.workers is not None:
-            raw["workers"] = args.workers
-        if args.out is not None or args.format is not None:
-            out = raw.get("output")
-            if out is None:
-                out = {}
-                raw["output"] = out
-            if not isinstance(out, dict):
-                raise ConfigError("output: expected a mapping")
-            if args.out is not None:
-                out["path"] = args.out
-            if args.format is not None:
-                out["format"] = args.format
-        rc = _validate(raw)
-        return run(rc)
+        overrides += [(k, getattr(args, k)) for k in _FLAGS if getattr(args, k) is not None]
+        return run(parse_config(text, overrides))
     except ConfigError as e:
         print(f"driftlab: config error: {e}", file=sys.stderr)
         return 2

@@ -201,6 +201,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="DRIFTLAB_SEED"):
             parse_config("command: classify\n")
 
+    def test_overrides_apply_in_order(self):
+        text = "command: classify\nseed: 1\nfield:\n"
+        lamperti = {"family": "critical_lamperti", "c": 1.0}
+        rc = parse_config(text, [("seed", 2), ("field", lamperti), ("field.c", 3.0), ("seed", 3)])
+        assert (rc.seed, rc.field) == (3, CriticalLamperti(c=3.0))
+        rc = parse_config(text, [("field.family", "critical_lamperti"), ("field.c", 3.0),
+                                 ("field", lamperti)])
+        assert (rc.seed, rc.field) == (1, CriticalLamperti(c=1.0))
+        assert lamperti == {"family": "critical_lamperti", "c": 1.0}
+        assert parse_config(text).field == Zero()
+
+    @pytest.mark.parametrize(
+        "text,key,message",
+        [
+            ("command: classify\noutput: out.json\n", "output.path", "output"),
+            ("command: classify\njumps: {up: []}\n", "jumps.up.family", "jumps.up"),
+            ("- 1\n- 2\n", "seed", "config"),
+        ],
+        ids=["section", "nested", "root"],
+    )
+    def test_override_through_a_non_mapping_names_its_key(self, text, key, message):
+        with pytest.raises(ConfigError, match=rf"^{key}: {message} is not a mapping$"):
+            parse_config(text, [(key, 1)])
+
 
 class TestMainClassify:
     def test_summary_line_and_exit_code(self, tmp_path, capsys):
@@ -249,6 +273,43 @@ class TestMainClassify:
         assert "config error" in capsys.readouterr().err
 
 
+# flag -> (config, the flag's argv, its key, its value as --set spells it,
+# a --set value of that key that the flag must beat); OUT and ELSEWHERE
+# stand for two output paths
+FLAG_SETS = {
+    "seed": (SIMULATE_SMALL + "output: {path: OUT}\n", ["--seed", "5"], "seed", "5", "6"),
+    "out": (SIMULATE_SMALL, ["--out", "OUT"], "output.path", "OUT", "ELSEWHERE"),
+    "format": (SIMULATE_SMALL + "output: {path: OUT}\n", ["--format", "json"],
+               "output.format", "json", "csv"),
+    "strict": ("command: classify\nfield: {family: critical_lamperti, c: 1.0}\n"
+               "output: {path: OUT}\n", ["--strict"], "strict", "true", "false"),
+    "workers": ("command: classify\nworkers: 2\noutput: {path: OUT}\n", ["--workers", "1"],
+                "workers", "1", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_SETS))
+def test_each_flag_is_shorthand_for_one_set(tmp_path, capsys, name):
+    text, flag, key, value, beaten = FLAG_SETS[name]
+    out, elsewhere = str(tmp_path / "out"), str(tmp_path / "elsewhere")
+    cfg = write(tmp_path, text.replace("OUT", out))
+
+    def run(*argv):
+        if os.path.exists(out):
+            os.remove(out)
+        code = main([cfg, *(a.replace("OUT", out).replace("ELSEWHERE", elsewhere) for a in argv)])
+        written = pathlib.Path(out).read_bytes() if os.path.exists(out) else None
+        return code, capsys.readouterr().out, written
+
+    by_flag = run(*flag)
+    assert by_flag[0] == (1 if name == "strict" else 0)
+    assert by_flag[2] is not None
+    assert run("--set", f"{key}={value}") == by_flag
+    assert run("--set", f"{key}={beaten}", *flag) == by_flag
+    assert not os.path.exists(elsewhere)
+    assert run("--set", f"{key}={beaten}") != by_flag  # so the flag did beat something
+
+
 class TestMainErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.yaml")]) == 3
@@ -262,7 +323,7 @@ class TestMainErrors:
     def test_non_mapping_root(self, tmp_path, capsys):
         cfg = write(tmp_path, "- a\n- b\n")
         assert main([cfg]) == 2
-        assert "must be a mapping" in capsys.readouterr().err
+        assert "config: expected a mapping" in capsys.readouterr().err
 
     def test_unknown_command_in_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "command: mystery\n")
@@ -320,6 +381,10 @@ class TestMainErrors:
             ("jumps: {down: {family: exponential_mean1, k: 2.0}}\n", "jumps.down: unknown key(s): k"),
             # the chain reads phi at parabolic time; no key fixes its time
             ("field: {family: zero, t_proxy: 1.0e+8}\n", "field: unknown key(s): t_proxy"),
+            # the balance check always solves the exact window; a later
+            # command key wins, as YAML's last duplicate does
+            ("command: check\ncheck: {kind: balance, compare_exact: false}\n",
+             "check: unknown key(s): compare_exact"),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
              "values: [[0.1, 0.1], [0.1]]}\n", "field.values: "),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
@@ -329,8 +394,8 @@ class TestMainErrors:
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [[0.0], [1.0, 2.0]], "
              "values: [[0.1, 0.1], [0.1, 0.1]]}\n", "field.t_grid: "),
         ],
-        ids=["field.rho", "jumps.up.k", "jumps.down.d", "jumps.down", "t_proxy", "ragged",
-             "non-numeric", "non-numeric-x_grid", "ragged-t_grid"],
+        ids=["field.rho", "jumps.up.k", "jumps.down.d", "jumps.down", "t_proxy", "compare_exact",
+             "ragged", "non-numeric", "non-numeric-x_grid", "ragged-t_grid"],
     )
     def test_family_parameter_errors_name_their_path(self, tmp_path, capsys, text, message):
         cfg = write(tmp_path, "command: classify\n" + text)
@@ -934,6 +999,20 @@ def test_driftlab_starts_openblas_single_threaded(order, caller, want):
     assert value == want
     if want == "1" and threads is not None:
         assert threads == 1
+
+
+def test_the_package_exports_each_modules_all():
+    from driftlab import classifier, experiments, fields, simulator
+
+    modules = (classifier, experiments, fields, simulator)
+    names = ["__version__", "path_seed", *(n for m in modules for n in m.__all__)]
+    assert len(set(names)) == len(names)
+    assert sorted(driftlab.__all__) == sorted(names)
+    star: dict = {}
+    exec("from driftlab import *", star)  # raises if a name does not resolve
+    assert set(star) - {"__builtins__"} == set(names)
+    for m in modules:
+        assert all(getattr(driftlab, n) is getattr(m, n) for n in m.__all__)
 
 
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
