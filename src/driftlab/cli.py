@@ -212,120 +212,81 @@ def _mapping(obj: Any, table: dict[str, type]) -> dict:
     return m
 
 
-def _params_classify(s: _Sect) -> dict:
-    mode = s.take("mode", "str", default="theorem1", choices=("theorem1", "mv_critical"))
-    x0 = s.take("x0", "float", default=2.0)
-    x_max = s.take("x_max", "float", default=1e4)
-    grid = s.take("grid", "int", default=512, lo=100)
-    rho = s.take("rho", "float", default=None, allow_none=True)
-    beta = s.take("beta", "float", default=None, allow_none=True)
+# Each command's section, and under ``check`` each kind's keys, as
+# key -> (kind, default, bound).  A default of _REQUIRED makes the key
+# required, None makes it optional and left out of params when unset, and
+# a callable is computed from the keys before it.  The bound is a number's
+# lower bound or a string's choices.
+_PARAMS: dict[str, dict[str, tuple[str, Any, Any]]] = {
+    "classify": {
+        "mode": ("str", "theorem1", ("theorem1", "mv_critical")), "x0": ("float", 2.0, None),
+        "x_max": ("float", 1e4, None), "grid": ("int", 512, 100),
+        "rho": ("float", None, None), "beta": ("float", None, None),
+    },
+    "simulate": {"horizon": ("float", _REQUIRED, 0.0), "z0": ("float", 0.0, None)},
+    "bd-oracle": {
+        "source": ("str", "field", ("field", "ratio")),
+        "n_min": ("int", 2, None), "n_max": ("int", 10000, None),
+        "n0": ("int", lambda p: max(1, p["n_min"]), None),
+        "quadrature_points": ("int", 8, 1), "tail_extension": ("int", 0, 0),
+        "criterion": ("str", "both", ("ratio", "series", "both")),
+        "bilateral": ("bool", False, None), "c": ("float", None, None),
+    },
+    "experiment": {
+        "n_paths": ("int", _REQUIRED, 1), "horizon": ("float", _REQUIRED, 0.0),
+        "level": ("float", _REQUIRED, None), "band": ("float", 1.0, None),
+        "z0": ("float", 0.0, None),
+    },
+    "martingale": {
+        "rate": ("float", 0.5, None), "tau": ("float", 8.0, 0.0),
+        "horizon": ("float", 12.0, 0.0), "n_paths": ("int", 10000, 100),
+    },
+    "wald": {
+        "sigma": ("float", 1.0, 0.0), "n_paths": ("int", 10000, 100), "z0": ("float", 0.0, None),
+    },
+    "balance": {
+        "total_time": ("float", 1e5, 0.0), "window_min": ("int", -10, None),
+        "window_max": ("int", 10, None), "quadrature_points": ("int", 8, 1),
+    },
+}
+
+# The rules between a row's keys, in the order they are checked.
+_RULES: tuple[tuple[str, Callable[[dict], bool], str], ...] = (
+    ("classify", lambda p: p["x0"] <= 0, "classify.x0: must be positive"),
+    ("classify", lambda p: p["x_max"] <= p["x0"], "classify.x_max: must exceed x0"),
+    ("classify", lambda p: p["mode"] == "mv_critical" and not p.keys() >= {"rho", "beta"},
+     "classify: mode mv_critical requires rho and beta"),
+    ("bd-oracle", lambda p: p["n_min"] > p["n_max"], "bd-oracle.n_min: must not exceed n_max"),
+    ("bd-oracle", lambda p: p["source"] == "ratio" and "c" not in p,
+     "bd-oracle.c: required when source is 'ratio'"),
+    ("bd-oracle", lambda p: p["source"] == "ratio" and p["n_min"] < 1,
+     "bd-oracle.n_min: ratio source needs n_min >= 1"),
+    ("bd-oracle", lambda p: not p["n_min"] <= p["n0"] <= p["n_max"],
+     "bd-oracle.n0: must lie within [n_min, n_max]"),
+    ("bd-oracle", lambda p: p["bilateral"] and p["n_min"] > -p["n0"],
+     "bd-oracle.bilateral: window must span both tails (n_min <= -n0)"),
+    ("experiment", lambda p: not p["level"] > p["band"] > 0, "experiment: need level > band > 0"),
+    ("martingale", lambda p: p["rate"] <= 0, "check.rate: must be positive"),
+    ("martingale", lambda p: p["horizon"] < p["tau"], "check.horizon: must be at least tau"),
+    ("balance", lambda p: p["window_max"] - p["window_min"] < 2,
+     "check.window_max: window needs at least 3 cells"),
+)
+
+
+def _params(s: _Sect, row: str, p: dict) -> dict:
+    """``p`` with the keys of ``_PARAMS[row]`` read from ``s`` added, once
+    ``s`` has no other key and the row's rules hold."""
+    for key, (kind, default, bound) in _PARAMS[row].items():
+        computed = callable(default)
+        choices = bound if isinstance(bound, tuple) else None
+        v = s.take(key, kind, None if computed else default, choices,
+                   None if choices else bound, allow_none=computed or default is None)
+        if v is not None or computed:
+            p[key] = default(p) if v is None else v
     s.done()
-    if x0 <= 0:
-        raise ConfigError("classify.x0: must be positive")
-    if x_max <= x0:
-        raise ConfigError("classify.x_max: must exceed x0")
-    if mode == "mv_critical" and (rho is None or beta is None):
-        raise ConfigError("classify: mode mv_critical requires rho and beta")
-    p = {"mode": mode, "x0": x0, "x_max": x_max, "grid": grid}
-    if rho is not None:
-        p["rho"] = rho
-    if beta is not None:
-        p["beta"] = beta
-    return p
-
-
-def _params_simulate(s: _Sect) -> dict:
-    horizon = s.take("horizon", "float", lo=0.0)
-    z0 = s.take("z0", "float", default=0.0)
-    s.done()
-    return {"horizon": horizon, "z0": z0}
-
-
-def _params_bd_oracle(s: _Sect) -> dict:
-    source = s.take("source", "str", default="field", choices=("field", "ratio"))
-    c = s.take("c", "float", default=None, allow_none=True)
-    n_min = s.take("n_min", "int", default=2)
-    n_max = s.take("n_max", "int", default=10000)
-    n0 = s.take("n0", "int", default=None, allow_none=True)
-    q = s.take("quadrature_points", "int", default=8, lo=1)
-    tail = s.take("tail_extension", "int", default=0, lo=0)
-    criterion = s.take("criterion", "str", default="both", choices=("ratio", "series", "both"))
-    bilateral = s.take("bilateral", "bool", default=False)
-    s.done()
-    if n_min > n_max:
-        raise ConfigError("bd-oracle.n_min: must not exceed n_max")
-    if source == "ratio":
-        if c is None:
-            raise ConfigError("bd-oracle.c: required when source is 'ratio'")
-        if n_min < 1:
-            raise ConfigError("bd-oracle.n_min: ratio source needs n_min >= 1")
-    if n0 is None:
-        n0 = max(1, n_min)
-    if not n_min <= n0 <= n_max:
-        raise ConfigError("bd-oracle.n0: must lie within [n_min, n_max]")
-    if bilateral and n_min > -n0:
-        raise ConfigError("bd-oracle.bilateral: window must span both tails (n_min <= -n0)")
-    p = {
-        "source": source,
-        "n_min": n_min,
-        "n_max": n_max,
-        "n0": n0,
-        "quadrature_points": q,
-        "tail_extension": tail,
-        "criterion": criterion,
-        "bilateral": bilateral,
-    }
-    if c is not None:
-        p["c"] = c
-    return p
-
-
-def _params_experiment(s: _Sect) -> dict:
-    p = {
-        "n_paths": s.take("n_paths", "int", lo=1),
-        "horizon": s.take("horizon", "float", lo=0.0),
-        "level": s.take("level", "float"),
-        "band": s.take("band", "float", default=1.0),
-        "z0": s.take("z0", "float", default=0.0),
-    }
-    s.done()
-    if not p["level"] > p["band"] > 0:
-        raise ConfigError("experiment: need level > band > 0")
-    return p
-
-
-def _params_check(s: _Sect) -> dict:
-    kind = s.take("kind", "str", choices=tuple(_CHECKS))
-    if kind == "martingale":
-        p = {
-            "kind": kind,
-            "rate": s.take("rate", "float", default=0.5),
-            "tau": s.take("tau", "float", default=8.0, lo=0.0),
-            "horizon": s.take("horizon", "float", default=12.0, lo=0.0),
-            "n_paths": s.take("n_paths", "int", default=10000, lo=100),
-        }
-        if p["rate"] <= 0:
-            raise ConfigError("check.rate: must be positive")
-        if p["horizon"] < p["tau"]:
-            raise ConfigError("check.horizon: must be at least tau")
-    elif kind == "wald":
-        p = {
-            "kind": kind,
-            "sigma": s.take("sigma", "float", default=1.0, lo=0.0),
-            "n_paths": s.take("n_paths", "int", default=10000, lo=100),
-            "z0": s.take("z0", "float", default=0.0),
-        }
-    else:
-        p = {
-            "kind": kind,
-            "total_time": s.take("total_time", "float", default=1e5, lo=0.0),
-            "window_min": s.take("window_min", "int", default=-10),
-            "window_max": s.take("window_max", "int", default=10),
-            "quadrature_points": s.take("quadrature_points", "int", default=8, lo=1),
-        }
-        if p["window_max"] - p["window_min"] < 2:
-            raise ConfigError("check.window_max: window needs at least 3 cells")
-    s.done()
+    for r, broken, message in _RULES:
+        if r == row and broken(p):
+            raise ConfigError(message)
     return p
 
 
@@ -366,7 +327,9 @@ def _validate(raw: Any) -> RunConfig:
     if fmt not in spec.formats:
         raise ConfigError(f"output.format: {fmt} is not available for '{command}'")
 
-    params = spec.params(top.sub(command))
+    sect = top.sub(command)
+    p = {"kind": sect.take("kind", "str", choices=tuple(_CHECKS))} if command == "check" else {}
+    params = _params(sect, p.get("kind", command), p)
     for other in _COMMANDS:
         top.data.pop(other, None)  # sections for other commands are ignored
     top.done()
@@ -396,6 +359,22 @@ def _validate(raw: Any) -> RunConfig:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, but a key repeated in one mapping is an error
+    (``yaml.safe_load`` keeps the last one)."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        seen: list = []  # not a set: PyYAML itself rejects an unhashable key
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.YAMLError(f"duplicate key {key!r} on line {key_node.start_mark.line + 1}")
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(text: str, overrides: Iterable[tuple[str, Any]] = ()) -> RunConfig:
     """Parse YAML config text, set each ``(dotted key, value)`` of
     ``overrides`` in order (a later one wins), and validate the result.
@@ -405,7 +384,7 @@ def parse_config(text: str, overrides: Iterable[tuple[str, Any]] = ()) -> RunCon
     ``RunConfig.effective`` re-serializes to an equivalent config.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, _Loader)
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML: {e}") from e
     if raw is None:
@@ -416,9 +395,11 @@ def parse_config(text: str, overrides: Iterable[tuple[str, Any]] = ()) -> RunCon
 
 
 def _assign(raw: Any, dotted: str, value: Any) -> None:
-    """Set ``dotted`` in ``raw``, making each missing or null mapping on
-    the way; a non-mapping on the way is a ConfigError naming ``dotted``."""
+    """Set ``dotted`` in ``raw``, making missing or null mappings on the way;
+    an empty segment or a non-mapping on the way is a ConfigError naming ``dotted``."""
     keys = dotted.split(".")
+    if "" in keys:
+        raise ConfigError(f"{dotted!r}: empty segment in a dotted key")
     node = raw
     for i, k in enumerate(keys):
         if not isinstance(node, dict):
@@ -515,8 +496,9 @@ def _fmt_c(v: float) -> str:
 
 
 # A command is a generator: it yields its output's text piece by piece
-# and returns its exit code and summary line.
-_Output = Generator[str, None, tuple[int, str]]
+# and returns whether it failed (an Inconclusive verdict or a failed
+# check) and its summary line.
+_Output = Generator[str, None, tuple[bool, str]]
 
 
 def _cmd_classify(rc: RunConfig) -> _Output:
@@ -531,7 +513,7 @@ def _cmd_classify(rc: RunConfig) -> _Output:
         f"method={cls.method} window=[{cls.window[0]:g},{cls.window[1]:g}]"
     )
     yield from _record_chunks(rc, result)
-    return (1 if rc.strict and cls.verdict is Verdict.INCONCLUSIVE else 0), summary
+    return cls.verdict is Verdict.INCONCLUSIVE, summary
 
 
 def _cmd_simulate(rc: RunConfig) -> _Output:
@@ -569,8 +551,7 @@ def _cmd_simulate(rc: RunConfig) -> _Output:
                 pass
         else:
             yield from _trajectory_csv(tally())
-    summary = f"events={n} final_z={_fmt_num(final_z)} horizon={p['horizon']:g} seed={rc.seed}"
-    return 0, summary
+    return False, f"events={n} final_z={_fmt_num(final_z)} horizon={p['horizon']:g} seed={rc.seed}"
 
 
 def _cmd_bd_oracle(rc: RunConfig) -> _Output:
@@ -603,8 +584,8 @@ def _cmd_bd_oracle(rc: RunConfig) -> _Output:
         yield from _record_chunks(rc, {"chain_window": [chain.n_min, chain.n_max], **results})
 
     bits = [f"{k}={v['verdict']}({_fmt_c(v['c_estimate'])})" for k, v in results.items()]
-    inconclusive = any(v["verdict"] == Verdict.INCONCLUSIVE.value for v in results.values())
-    return (1 if rc.strict and inconclusive else 0), " ".join(bits)
+    failed = any(v["verdict"] == Verdict.INCONCLUSIVE.value for v in results.values())
+    return failed, " ".join(bits)
 
 
 def _cmd_experiment(rc: RunConfig) -> _Output:
@@ -636,11 +617,7 @@ def _cmd_experiment(rc: RunConfig) -> _Output:
         f"ci=[{_fmt_num(lo)},{_fmt_num(hi)}] "
         f"runtime={report.runtime_seconds:.3g}s"
     )
-    return 0, summary
-
-
-def _cmd_check(rc: RunConfig) -> _Output:
-    return _CHECKS[rc.params["kind"]](rc)
+    return False, summary
 
 
 def _check_martingale(rc: RunConfig) -> _Output:
@@ -652,7 +629,7 @@ def _check_martingale(rc: RunConfig) -> _Output:
         f"ensemble={_fmt_num(ens.mean_residual)}(se={_fmt_num(ens.se)},ok={ens.within_3se})"
     )
     yield from _record_chunks(rc, {"kind": "martingale", **chk.to_record()})
-    return (1 if rc.strict and not (lit.within_3se and ens.within_3se) else 0), summary
+    return not (lit.within_3se and ens.within_3se), summary
 
 
 def _check_wald(rc: RunConfig) -> _Output:
@@ -672,7 +649,7 @@ def _check_wald(rc: RunConfig) -> _Output:
         f"bound={_fmt_num(chk.bound)} passed={chk.passed}"
     )
     yield from _record_chunks(rc, result)
-    return (1 if rc.strict and not chk.passed else 0), summary
+    return not chk.passed, summary
 
 
 def _check_balance(rc: RunConfig) -> _Output:
@@ -696,21 +673,20 @@ def _check_balance(rc: RunConfig) -> _Output:
     }
     summary = f"balance l1={_fmt_num(br.l1)} cells=[{br.n_lo},{br.n_hi}] exact_l1={exact_l1:.3g}"
     yield from _record_chunks(rc, result)
-    return (1 if rc.strict and not exact_l1 < 1e-10 else 0), summary
+    return not exact_l1 < 1e-10, summary
 
 
 class _Command(NamedTuple):
-    params: Callable[[_Sect], dict]
     run: Callable[[RunConfig], _Output]
     formats: tuple[str, ...]  # the first is the default
 
 
 _COMMANDS = {
-    "classify": _Command(_params_classify, _cmd_classify, ("json",)),
-    "simulate": _Command(_params_simulate, _cmd_simulate, ("csv", "json")),
-    "bd-oracle": _Command(_params_bd_oracle, _cmd_bd_oracle, ("json", "csv")),
-    "experiment": _Command(_params_experiment, _cmd_experiment, ("csv", "json")),
-    "check": _Command(_params_check, _cmd_check, ("json",)),
+    "classify": _Command(_cmd_classify, ("json",)),
+    "simulate": _Command(_cmd_simulate, ("csv", "json")),
+    "bd-oracle": _Command(_cmd_bd_oracle, ("json", "csv")),
+    "experiment": _Command(_cmd_experiment, ("csv", "json")),
+    "check": _Command(lambda rc: _CHECKS[rc.params["kind"]](rc), ("json",)),
 }
 
 _CHECKS = {"martingale": _check_martingale, "wald": _check_wald, "balance": _check_balance}
@@ -745,9 +721,10 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 def run(rc: RunConfig) -> int:
     """Execute a validated config: stream the output (if requested) into
     its file atomically, then print the one-line summary and return the
-    exit code.  A ValueError from the command, raised before or while its
-    output is written, is a config error."""
-    ended: list[tuple[int, str]] = []
+    exit code: 1 if ``strict`` is set and the command failed, else 0.  A
+    ValueError from the command, raised before or while its output is
+    written, is a config error."""
+    ended: list[tuple[bool, str]] = []
 
     def chunks() -> Iterator[str]:
         ended.append((yield from _COMMANDS[rc.command].run(rc)))
@@ -766,9 +743,9 @@ def run(rc: RunConfig) -> int:
         raise
     except ValueError as e:
         raise ConfigError(f"{rc.command}: {e}") from e
-    code, summary = ended[0]
+    failed, summary = ended[0]
     print(summary)
-    return code
+    return 1 if rc.strict and failed else 0
 
 
 _FLAGS = ("seed", "strict", "workers", "output.path", "output.format")  # argparse dests
@@ -811,7 +788,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
             key, _, val = kv.partition("=")
             try:
-                overrides.append((key, yaml.safe_load(val)))
+                overrides.append((key, yaml.load(val, _Loader)))
             except yaml.YAMLError as e:
                 raise ConfigError(f"--set {key}: invalid value: {e}") from e
         overrides += [(k, getattr(args, k)) for k in _FLAGS if getattr(args, k) is not None]

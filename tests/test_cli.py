@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import enum
 import errno
 import itertools
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -91,6 +93,59 @@ jumps:
 simulate:
   horizon: 50.0
 """
+
+
+# (row of cli._PARAMS, its bounded key or None for a rule, a section that
+# breaks the bound or rule, the start of its error): one per bound and per
+# rule of every row, and the check kind's choices
+PARAM_VIOLATIONS = [
+    ("classify", "mode", "{mode: bogus}", "classify.mode: must be one of"),
+    ("classify", "grid", "{grid: 99}", "classify.grid: must be >= 100"),
+    ("simulate", "horizon", "{horizon: -1.0}", "simulate.horizon: must be >= 0.0"),
+    ("bd-oracle", "source", "{source: chain}", "bd-oracle.source: must be one of"),
+    ("bd-oracle", "quadrature_points", "{quadrature_points: 0}",
+     "bd-oracle.quadrature_points: must be >= 1"),
+    ("bd-oracle", "tail_extension", "{tail_extension: -1}",
+     "bd-oracle.tail_extension: must be >= 0"),
+    ("bd-oracle", "criterion", "{criterion: neither}",
+     "bd-oracle.criterion: must be one of"),
+    ("experiment", "n_paths", "{n_paths: 0, horizon: 10.0, level: 3.0}",
+     "experiment.n_paths: must be >= 1"),
+    ("experiment", "horizon", "{n_paths: 4, horizon: -1.0, level: 3.0}",
+     "experiment.horizon: must be >= 0.0"),
+    ("check", "kind", "{kind: drift}", "check.kind: must be one of"),
+    ("martingale", "tau", "{kind: martingale, tau: -1.0}", "check.tau: must be >= 0.0"),
+    ("martingale", "horizon", "{kind: martingale, horizon: -1.0}",
+     "check.horizon: must be >= 0.0"),
+    ("martingale", "n_paths", "{kind: martingale, n_paths: 99}",
+     "check.n_paths: must be >= 100"),
+    ("wald", "sigma", "{kind: wald, sigma: -1.0}", "check.sigma: must be >= 0.0"),
+    ("wald", "n_paths", "{kind: wald, n_paths: 99}", "check.n_paths: must be >= 100"),
+    ("balance", "total_time", "{kind: balance, total_time: -1.0}",
+     "check.total_time: must be >= 0.0"),
+    ("balance", "quadrature_points", "{kind: balance, quadrature_points: 0}",
+     "check.quadrature_points: must be >= 1"),
+    ("classify", None, "{x0: 0.0}", "classify.x0: must be positive"),
+    ("classify", None, "{x0: 5.0, x_max: 5.0}", "classify.x_max: must exceed x0"),
+    ("classify", None, "{mode: mv_critical, rho: 0.5}",
+     "classify: mode mv_critical requires rho and beta"),
+    ("bd-oracle", None, "{n_min: 20, n_max: 10}",
+     "bd-oracle.n_min: must not exceed n_max"),
+    ("bd-oracle", None, "{source: ratio}",
+     "bd-oracle.c: required when source is 'ratio'"),
+    ("bd-oracle", None, "{source: ratio, c: 2.0, n_min: 0}",
+     "bd-oracle.n_min: ratio source needs n_min >= 1"),
+    ("bd-oracle", None, "{n0: 1}", "bd-oracle.n0: must lie within [n_min, n_max]"),
+    ("bd-oracle", None, "{bilateral: true}",
+     "bd-oracle.bilateral: window must span both tails (n_min <= -n0)"),
+    ("experiment", None, "{n_paths: 4, horizon: 10.0, level: 3.0, band: 3.0}",
+     "experiment: need level > band > 0"),
+    ("martingale", None, "{kind: martingale, rate: 0.0}", "check.rate: must be positive"),
+    ("martingale", None, "{kind: martingale, tau: 10.0, horizon: 5.0}",
+     "check.horizon: must be at least tau"),
+    ("balance", None, "{kind: balance, window_min: 0, window_max: 1}",
+     "check.window_max: window needs at least 3 cells"),
+]
 
 
 class TestParseConfig:
@@ -225,6 +280,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: {message} is not a mapping$"):
             parse_config(text, [(key, 1)])
 
+    @pytest.mark.parametrize("key", [".seed", "field..c", "seed.", ""])
+    def test_an_empty_dotted_segment_names_the_whole_key(self, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(repr(key))}: empty segment"):
+            parse_config("command: classify\n", [(key, 1)])
+
+    @pytest.mark.parametrize("row,key,section,message", PARAM_VIOLATIONS,
+                             ids=[f"{r}.{k}" if k else m.split(":")[0] + "-rule"
+                                  for r, k, _, m in PARAM_VIOLATIONS])
+    def test_each_bound_and_rule_of_the_table_names_its_key(self, row, key, section, message):
+        command = row if row in cli._COMMANDS else "check"  # a check kind's row
+        with pytest.raises(ConfigError) as e:
+            parse_config(f"command: {command}\n{command}: {section}\n")
+        assert str(e.value).startswith(message)
+
+    def test_the_violations_cover_every_bound_and_rule(self):
+        bounded = {(row, key) for row, keys in cli._PARAMS.items()
+                   for key, (_, _, bound) in keys.items() if bound is not None}
+        assert {(r, k) for r, k, *_ in PARAM_VIOLATIONS if k and r in cli._PARAMS} == bounded
+        rules = sorted((r, m) for r, _, m in cli._RULES)
+        assert sorted((r, m) for r, k, _, m in PARAM_VIOLATIONS if k is None) == rules
+
 
 class TestMainClassify:
     def test_summary_line_and_exit_code(self, tmp_path, capsys):
@@ -310,6 +386,44 @@ def test_each_flag_is_shorthand_for_one_set(tmp_path, capsys, name):
     assert run("--set", f"{key}={beaten}") != by_flag  # so the flag did beat something
 
 
+def spoiled(name, edit):
+    """A stand-in for ``cli.<name>`` that passes the real result through ``edit``."""
+    real = getattr(cli, name)
+    return lambda *args: edit(real(*args))
+
+
+# command -> (a config whose run passes, what makes it fail: --set
+# arguments, or a (cli name, stand-in) pair; None where nothing fails)
+STRICT_CASES = {
+    "classify": (CLASSIFY_CL3, ["--set", "field.c=1.0"]),
+    "bd-oracle": ("command: bd-oracle\n"
+                  "bd-oracle: {source: ratio, c: 2.0, n_max: 500, criterion: ratio}\n",
+                  ["--set", "bd-oracle.c=1.03"]),
+    "simulate": (SEEDED_CONFIGS["simulate"], None),
+    "experiment": (SEEDED_CONFIGS["experiment"], None),
+    "check-martingale": (SEEDED_CONFIGS["check-martingale"], ("martingale_check", lambda chk: (
+        dataclasses.replace(chk, ensemble=dataclasses.replace(chk.ensemble, within_3se=False))))),
+    "check-wald": (SEEDED_CONFIGS["check-wald"], ("wald_second_moment_check", lambda chk: (
+        dataclasses.replace(chk, passed=False)))),
+    "check-balance": (SEEDED_CONFIGS["check-balance"], ("solve_balance_window", lambda occ: (
+        dataclasses.replace(occ, p_star=np.full(occ.p_star.size, 1.0 / occ.p_star.size))))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_CASES))
+def test_strict_exits_one_on_a_failed_result_only(tmp_path, capsys, monkeypatch, name):
+    text, spoil = STRICT_CASES[name]
+    cfg = write(tmp_path, text)
+    assert main([cfg]) == main([cfg, "--strict"]) == 0
+    argv = [cfg]
+    if isinstance(spoil, list):
+        argv += spoil
+    elif spoil is not None:
+        monkeypatch.setattr(cli, spoil[0], spoiled(*spoil))
+    assert main(argv) == 0
+    assert main([*argv, "--strict"]) == (0 if spoil is None else 1)
+
+
 class TestMainErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.yaml")]) == 3
@@ -381,8 +495,7 @@ class TestMainErrors:
             ("jumps: {down: {family: exponential_mean1, k: 2.0}}\n", "jumps.down: unknown key(s): k"),
             # the chain reads phi at parabolic time; no key fixes its time
             ("field: {family: zero, t_proxy: 1.0e+8}\n", "field: unknown key(s): t_proxy"),
-            # the balance check always solves the exact window; a later
-            # command key wins, as YAML's last duplicate does
+            # the balance check always solves the exact window
             ("command: check\ncheck: {kind: balance, compare_exact: false}\n",
              "check: unknown key(s): compare_exact"),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
@@ -398,9 +511,25 @@ class TestMainErrors:
              "ragged", "non-numeric", "non-numeric-x_grid", "ragged-t_grid"],
     )
     def test_family_parameter_errors_name_their_path(self, tmp_path, capsys, text, message):
-        cfg = write(tmp_path, "command: classify\n" + text)
+        # a case that names its own command runs it; the rest run classify
+        cfg = write(tmp_path, text if text.startswith("command:") else "command: classify\n" + text)
         assert main([cfg]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,argv,key,line",
+        [
+            ("command: classify\ncommand: check\ncheck: {kind: wald}\n", [], "command", 2),
+            ("command: classify\nfield:\n  family: critical_lamperti\n  c: 1.0\n  c: 3.0\n", [],
+             "c", 5),
+            ("command: classify\n", ["--set", "field={family: critical_lamperti, c: 1.0, c: 3.0}"],
+             "c", 1),
+        ],
+        ids=["top-level", "nested", "set"],
+    )
+    def test_a_repeated_key_is_a_config_error(self, tmp_path, capsys, text, argv, key, line):
+        assert main([write(tmp_path, text), *argv]) == 2
+        assert f"duplicate key '{key}' on line {line}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["config", "flag", "env"])
     @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-64"])
