@@ -7,7 +7,9 @@ Two routes to a verdict:
    tail the walk is recurrent; if it stays above 1 it is transient.  The
    comparison carries a fixed decision margin of 0.05, and anything
    straddling [1 - margin, 1 + margin] is Inconclusive rather than a
-   guess.
+   guess.  On the critical line of the power-law family (alpha =
+   2*beta - 1, which ``_on_critical_line`` recognises) the statistic is
+   the constant 4*rho, and ``classify_mv_critical`` decides it exactly.
 
 2. Birth-death reductions: ``discretize_to_bd`` turns the rates at
    the parabolic time t = max(x^2, 1) into a nearest-neighbour chain by
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -48,6 +51,13 @@ __all__ = [
 ]
 
 DECISION_MARGIN = 0.05
+
+# The largest x_max whose square is finite: the scan reads phi at t = x^2.
+_X_MAX_LIMIT = math.sqrt(sys.float_info.max)
+
+# How far alpha may sit from 2*beta - 1 on the critical line: 2*0.6 - 1 is
+# 0.19999999999999996, and alpha 0.2 must count.
+_CRITICAL_TOL = 1e-12
 
 # Series-criterion constants: the literal convergence thresholds, the
 # decay-exponent margins around 1, and the divergence floor per doubling.
@@ -110,6 +120,8 @@ def classify_theorem1(
         raise ValueError("x0 must be positive")
     if x_max <= x0:
         raise ValueError("x_max must exceed x0")
+    if not x_max <= _X_MAX_LIMIT:  # written so that NaN fails too
+        raise ValueError(f"x_max must be at most {_X_MAX_LIMIT!r} (x_max**2 must be finite)")
     if grid < 100:
         raise ValueError("grid must have at least 100 points")
 
@@ -162,7 +174,7 @@ def classify_mv_critical(
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if not (0.0 < beta < 1.0) or beta == 0.5:
+    if not _critical_beta(beta):
         raise ValueError("beta must lie in (0, 1/2) or (1/2, 1)")
 
     alpha = 2.0 * beta - 1.0
@@ -184,6 +196,17 @@ def classify_mv_critical(
         "delegated_c_estimate": delegated.c_estimate,
     }
     return Classification(verdict, c, "mv-critical", (x0, x_max), evidence)
+
+
+def _critical_beta(beta: float) -> bool:
+    return 0.0 < beta < 1.0 and beta != 0.5
+
+
+def _on_critical_line(field: DriftField) -> bool:
+    """Whether ``classify_mv_critical`` decides ``field``: a ``PowerLaw``
+    with beta in its domain and alpha within ``_CRITICAL_TOL`` of 2*beta - 1."""
+    return (isinstance(field, PowerLaw) and _critical_beta(field.beta)
+            and abs(field.alpha - (2.0 * field.beta - 1.0)) <= _CRITICAL_TOL)
 
 
 RatePair = tuple[np.ndarray, np.ndarray]

@@ -4,8 +4,9 @@ One YAML config file drives every run.  Common keys pick the drift
 field, jump laws, seed, and output destination; a per-command section
 holds the command's own parameters.  Commands:
 
-* ``classify``    tail classification of the configured field (or the
-                  closed-form critical-window family in mv_critical mode)
+* ``classify``    tail classification of the configured field; a
+                  ``power_law`` field on the critical line alpha = 2*beta - 1
+                  gets the critical window's closed-form verdict
 * ``simulate``    one trajectory, written as CSV or JSON
 * ``bd-oracle``   discretize to a chain (or build a synthetic ratio
                   family) and run the ratio/series criteria
@@ -39,6 +40,8 @@ import yaml
 from . import __version__
 from .classifier import (
     Verdict,
+    _X_MAX_LIMIT,
+    _on_critical_line,
     bd_series_criterion,
     classify_bd_bilateral,
     classify_mv_critical,
@@ -145,7 +148,7 @@ class _Sect:
 
     def done(self) -> None:
         if self.data:
-            keys = ", ".join(sorted(map(str, self.data)))
+            keys = ", ".join(sorted(map(repr, self.data)))
             raise ConfigError(f"{self.path or 'config'}: unknown key(s): {keys}")
 
 
@@ -218,11 +221,7 @@ def _mapping(obj: Any, table: dict[str, type]) -> dict:
 # a callable is computed from the keys before it.  The bound is a number's
 # lower bound or a string's choices.
 _PARAMS: dict[str, dict[str, tuple[str, Any, Any]]] = {
-    "classify": {
-        "mode": ("str", "theorem1", ("theorem1", "mv_critical")), "x0": ("float", 2.0, None),
-        "x_max": ("float", 1e4, None), "grid": ("int", 512, 100),
-        "rho": ("float", None, None), "beta": ("float", None, None),
-    },
+    "classify": {"x0": ("float", 2.0, None), "x_max": ("float", 1e4, None), "grid": ("int", 512, 100)},
     "simulate": {"horizon": ("float", _REQUIRED, 0.0), "z0": ("float", 0.0, None)},
     "bd-oracle": {
         "source": ("str", "field", ("field", "ratio")),
@@ -254,8 +253,8 @@ _PARAMS: dict[str, dict[str, tuple[str, Any, Any]]] = {
 _RULES: tuple[tuple[str, Callable[[dict], bool], str], ...] = (
     ("classify", lambda p: p["x0"] <= 0, "classify.x0: must be positive"),
     ("classify", lambda p: p["x_max"] <= p["x0"], "classify.x_max: must exceed x0"),
-    ("classify", lambda p: p["mode"] == "mv_critical" and not p.keys() >= {"rho", "beta"},
-     "classify: mode mv_critical requires rho and beta"),
+    ("classify", lambda p: p["x_max"] > _X_MAX_LIMIT,
+     f"classify.x_max: must be at most {_X_MAX_LIMIT!r} (x_max**2 must be finite)"),
     ("bd-oracle", lambda p: p["n_min"] > p["n_max"], "bd-oracle.n_min: must not exceed n_max"),
     ("bd-oracle", lambda p: p["source"] == "ratio" and "c" not in p,
      "bd-oracle.c: required when source is 'ratio'"),
@@ -502,11 +501,11 @@ _Output = Generator[str, None, tuple[bool, str]]
 
 
 def _cmd_classify(rc: RunConfig) -> _Output:
-    p = rc.params
-    if p["mode"] == "mv_critical":
-        cls = classify_mv_critical(p["rho"], p["beta"], p["x0"], p["x_max"], p["grid"])
+    p, f = rc.params, rc.field
+    if _on_critical_line(f):
+        cls = classify_mv_critical(f.rho, f.beta, p["x0"], p["x_max"], p["grid"])
     else:
-        cls = classify_theorem1(rc.field, p["x0"], p["x_max"], p["grid"])
+        cls = classify_theorem1(f, p["x0"], p["x_max"], p["grid"])
     result = {**cls.to_record(), "evidence": cls.evidence}
     summary = (
         f"verdict={cls.verdict.value} c_estimate={_fmt_c(cls.c_estimate)} "

@@ -46,8 +46,9 @@ seeded with the carried z then gives z_after, the same left fold.
 of every live path per step, with the vectorized ``phi`` evaluated
 across paths (see its docstring).
 
-``simulate_compound_poisson`` thins one path's blocks, and
-``martingale_check`` thins ``_lockstep``'s windows as arrays.  The
+``simulate_compound_poisson`` thins one path's blocks.
+``martingale_check`` reads ``_lockstep``'s windows as arrays: its
+intensity is constant and its own bound, so no proposal is thinned.  The
 compensators have one fold, ``_compensate``, shared by
 ``compensator_report`` (one path) and ``martingale_check`` (many).  The
 check prices its paths in spans of at most ``_BATCH``, and of about
@@ -715,7 +716,7 @@ def martingale_check(
 
     Path i is ``simulate_compound_poisson(r, rate, law, horizon,
     path_seed(seed, i))`` with r the constant ``rate``, and its residuals
-    are ``compensator_report``'s, bit for bit.  The paths are thinned on
+    are ``compensator_report``'s, bit for bit.  The paths are read off
     ``_lockstep``'s windows, in spans of at most ``_BATCH`` paths and
     about ``_BATCH * _CHUNK`` proposals, each priced by one
     ``_compensate`` call (see the module docstring).
@@ -743,12 +744,12 @@ def martingale_check(
         nxt = np.ones(seeds.size)
         seen = np.zeros(seeds.size, bool)
         for paths, t, u, (m,), k in _lockstep(seeds, (law,), horizon, 1.0 / rate):
+            # rate is its own bound, so fl(u * rate) <= rate accepts every
+            # proposal: a window's events are its first k columns
             valid = np.arange(t.shape[1]) < k[:, None]
-            on = np.zeros(t.shape, bool)
-            on[valid] = _accepted(intensity, rate, t[valid], u[valid])
             m = np.ones(t.shape) if m is None else m
-            before = on & (t <= tau)
-            after = on & ~before
+            before = valid & (t <= tau)
+            after = valid & ~before
             times.append(t[before])
             marks.append(m[before])
             owner.append(np.repeat(paths, np.count_nonzero(before, axis=1)))

@@ -11,6 +11,8 @@ from driftlab.classifier import (
     BDChain,
     Classification,
     Verdict,
+    _X_MAX_LIMIT,
+    _on_critical_line,
     _series_checkpoints,
     bd_series_criterion,
     classify_bd_bilateral,
@@ -79,6 +81,20 @@ class TestTheorem1:
         with pytest.raises(ValueError, match="at least 100"):
             classify_theorem1(Zero(), grid=99)
 
+    def test_x_max_is_bounded_by_the_square_root_of_the_largest_float(self):
+        # the scan reads phi at t = x^2, which overflows past the limit
+        assert _X_MAX_LIMIT * _X_MAX_LIMIT < math.inf
+        above = math.nextafter(_X_MAX_LIMIT, math.inf)
+        assert above * above == math.inf
+        field = PowerLaw(rho=0.5, alpha=-0.5, beta=0.25)  # 4 rho = 2: transient
+        for x_max in (1e100, _X_MAX_LIMIT):
+            assert classify_theorem1(field, x_max=x_max).verdict is Verdict.TRANSIENT
+        for x_max in (above, 1e200, 1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"x_max must be at most 1\.3407807929942596e\+154"):
+                classify_theorem1(field, x_max=x_max)
+        with pytest.raises(ValueError, match="x_max must be at most"):
+            classify_mv_critical(0.5, 0.25, x_max=1e200)
+
     def test_record_round_trips_through_json(self):
         res = classify_theorem1(CriticalLamperti(c=3.0))
         rec = res.to_record()
@@ -117,6 +133,35 @@ class TestMvCritical:
             for beta in (0.25, 0.75):
                 res = classify_mv_critical(rho, beta)
                 assert res.evidence["delegated_verdict"] == res.verdict.value
+
+
+class TestCriticalLine:
+    @pytest.mark.parametrize(
+        "field,on",
+        [
+            (PowerLaw(rho=0.3, alpha=-0.5, beta=0.25), True),
+            (PowerLaw(rho=0.1, alpha=0.2, beta=0.6), True),  # 2 * 0.6 - 1 rounds below 0.2
+            (PowerLaw(rho=0.1, alpha=2 * 0.6 - 1, beta=0.6, x_floor=4.0), True),
+            (PowerLaw(rho=0.3, alpha=-0.5 + 1e-11, beta=0.25), False),
+            (PowerLaw(rho=0.3, alpha=-0.499999, beta=0.25), False),
+            (PowerLaw(rho=0.3, alpha=0.0, beta=0.5), False),
+            (PowerLaw(rho=0.3, alpha=-1.0, beta=0.0), False),
+            (PowerLaw(rho=0.3, alpha=1.0, beta=1.0), False),
+            (Zero(), False),
+            (CriticalLamperti(c=3.0), False),
+        ],
+    )
+    def test_the_power_law_family_with_alpha_two_beta_minus_one(self, field, on):
+        assert _on_critical_line(field) is on
+
+    @given(beta=st.floats(0.0, 1.0))
+    def test_every_field_on_the_line_is_one_classify_mv_critical_accepts(self, beta):
+        field = PowerLaw(rho=0.3, alpha=2.0 * beta - 1.0, beta=beta)
+        if _on_critical_line(field):
+            classify_mv_critical(field.rho, field.beta)
+        else:
+            with pytest.raises(ValueError, match="beta must lie"):
+                classify_mv_critical(field.rho, field.beta)
 
 
 class TestBDChain:

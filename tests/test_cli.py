@@ -19,7 +19,7 @@ import yaml
 
 import driftlab
 from driftlab import cli, experiments, simulator
-from driftlab.classifier import ratio_family_chain
+from driftlab.classifier import classify_mv_critical, classify_theorem1, ratio_family_chain
 from driftlab.cli import ConfigError, main, parse_config
 from driftlab.fields import (
     Constant1,
@@ -99,7 +99,6 @@ simulate:
 # breaks the bound or rule, the start of its error): one per bound and per
 # rule of every row, and the check kind's choices
 PARAM_VIOLATIONS = [
-    ("classify", "mode", "{mode: bogus}", "classify.mode: must be one of"),
     ("classify", "grid", "{grid: 99}", "classify.grid: must be >= 100"),
     ("simulate", "horizon", "{horizon: -1.0}", "simulate.horizon: must be >= 0.0"),
     ("bd-oracle", "source", "{source: chain}", "bd-oracle.source: must be one of"),
@@ -127,8 +126,8 @@ PARAM_VIOLATIONS = [
      "check.quadrature_points: must be >= 1"),
     ("classify", None, "{x0: 0.0}", "classify.x0: must be positive"),
     ("classify", None, "{x0: 5.0, x_max: 5.0}", "classify.x_max: must exceed x0"),
-    ("classify", None, "{mode: mv_critical, rho: 0.5}",
-     "classify: mode mv_critical requires rho and beta"),
+    ("classify", None, "{x_max: 1.3407807929942597e+154}",
+     "classify.x_max: must be at most 1.3407807929942596e+154 (x_max**2 must be finite)"),
     ("bd-oracle", None, "{n_min: 20, n_max: 10}",
      "bd-oracle.n_min: must not exceed n_max"),
     ("bd-oracle", None, "{source: ratio}",
@@ -158,7 +157,7 @@ class TestParseConfig:
         assert rc.output_path is None
         assert rc.output_format == "json"
         eff = rc.effective
-        assert eff["classify"] == {"mode": "theorem1", "x0": 2.0, "x_max": 1e4, "grid": 512}
+        assert eff["classify"] == {"x0": 2.0, "x_max": 1e4, "grid": 512}
         assert eff["field"]["family"] == "zero"
         assert eff["jumps"] == {"up": {"family": "constant1"}, "down": {"family": "constant1"}}
 
@@ -180,12 +179,32 @@ class TestParseConfig:
         assert set(cli._JUMP_LAWS.values()) == laws
 
     def test_unknown_keys_are_named_with_their_path(self):
-        with pytest.raises(ConfigError, match=r"config: unknown key\(s\): bogus"):
+        with pytest.raises(ConfigError, match=r"config: unknown key\(s\): 'bogus'$"):
             parse_config("command: classify\nbogus: 1\n")
-        with pytest.raises(ConfigError, match=r"field: unknown key\(s\): zap"):
+        with pytest.raises(ConfigError, match=r"field: unknown key\(s\): 'zap'$"):
             parse_config("command: classify\nfield: {zap: 1}\n")
-        with pytest.raises(ConfigError, match=r"classify: unknown key\(s\): foo"):
+        with pytest.raises(ConfigError, match=r"classify: unknown key\(s\): 'foo'$"):
             parse_config("command: classify\nclassify: {foo: 1}\n")
+
+    @pytest.mark.parametrize(
+        "section,keys",
+        [
+            ('"": 1', "''"),
+            ("null: 1", "None"),
+            ('"None": 1', "'None'"),
+            ("1: 1", "1"),
+            ('"1": 1', "'1'"),
+            ('"": 1, null: 2, "None": 3', "'', 'None', None"),
+        ],
+        ids=["empty", "null", "string-None", "int", "string-1", "all-three"],
+    )
+    @pytest.mark.parametrize("where", ["config", "field"])
+    def test_an_unknown_key_that_is_not_a_plain_name_reads_apart(self, section, keys, where):
+        # keys that print alike as str (None and "None") or not at all ("")
+        inner = section if where == "config" else f"field: {{{section}}}"
+        with pytest.raises(ConfigError) as e:
+            parse_config(f"{{command: classify, {inner}}}\n")
+        assert str(e.value) == f"{where}: unknown key(s): {keys}"
 
     def test_unknown_command(self):
         with pytest.raises(ConfigError, match="command"):
@@ -210,13 +229,12 @@ class TestParseConfig:
         rc = parse_config("command: classify\nclassify: {x_max: 1.0e+4}\n")
         assert rc.params["x_max"] == 1e4
 
-    def test_mv_critical_requires_its_parameters(self):
-        with pytest.raises(ConfigError, match="mv_critical requires rho and beta"):
-            parse_config("command: classify\nclassify: {mode: mv_critical}\n")
-        rc = parse_config(
-            "command: classify\nclassify: {mode: mv_critical, rho: 0.5, beta: 0.25}\n"
-        )
-        assert rc.params["rho"] == 0.5
+    @pytest.mark.parametrize("key", ["mode", "rho", "beta"])
+    def test_classify_reads_its_model_from_field_alone(self, key):
+        # the critical window is a power_law field; classify keeps no copy of it
+        with pytest.raises(ConfigError) as e:
+            parse_config(f"command: classify\nclassify: {{{key}: 0.25}}\n")
+        assert str(e.value) == f"classify: unknown key(s): '{key}'"
 
     def test_csv_rejected_for_record_commands(self):
         with pytest.raises(ConfigError, match="csv is not available"):
@@ -329,6 +347,69 @@ class TestMainClassify:
         assert main([cfg]) == 0
         assert main([cfg, "--strict"]) == 1
         assert "verdict=Inconclusive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "{family: power_law, rho: 0.3, alpha: -0.5, beta: 0.25}",
+            # 2 * 0.6 - 1 is 0.19999999999999996; alpha 0.2 is on the line
+            "{family: power_law, rho: 0.1, alpha: 0.2, beta: 0.6}",
+            "{family: power_law, rho: 0.25, alpha: 0.5, beta: 0.75, x_floor: 3.0}",
+        ],
+    )
+    def test_a_critical_line_field_gets_the_closed_form(self, tmp_path, capsys, field):
+        rc = parse_config(f"command: classify\nfield: {field}\n")
+        out = tmp_path / "res.json"
+        assert main([write(tmp_path, f"command: classify\nfield: {field}\n"), "--out", str(out)]) == 0
+        want = classify_mv_critical(rc.field.rho, rc.field.beta)
+        assert json.loads(out.read_text())["result"] == json.loads(cli._record_json(
+            rc, {**want.to_record(), "evidence": want.evidence}))["result"]
+        assert want.method == "mv-critical"
+        assert "method=mv-critical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "{family: zero}",
+            "{family: critical_lamperti, c: 0.5}",
+            "{family: critical_lamperti, c: 3.0}",
+            "{family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
+            "values: [[0.1, 0.1], [0.1, 0.1]]}",
+            "{family: power_law, rho: 0.3, alpha: -0.499999, beta: 0.25}",
+            "{family: power_law, rho: 0.3, alpha: 0.0, beta: 0.5}",
+            "{family: power_law, rho: 0.3, alpha: 1.0, beta: 1.0}",
+            "{family: power_law, rho: 0.3, alpha: -1.0, beta: 0.0}",
+        ],
+    )
+    def test_any_other_field_gets_the_theorem1_scan(self, tmp_path, field):
+        rc = parse_config(f"command: classify\nfield: {field}\n")
+        out = tmp_path / "res.json"
+        assert main([write(tmp_path, f"command: classify\nfield: {field}\n"), "--out", str(out)]) == 0
+        want = classify_theorem1(rc.field)
+        assert json.loads(out.read_text())["result"] == json.loads(cli._record_json(
+            rc, {**want.to_record(), "evidence": want.evidence}))["result"]
+
+    def test_a_classify_mode_set_on_the_command_line_exits_two(self, tmp_path, capsys):
+        assert main([write(tmp_path, "command: classify\n"), "--set", "classify.mode=theorem1"]) == 2
+        assert capsys.readouterr().err == "driftlab: config error: classify: unknown key(s): 'mode'\n"
+
+    @pytest.mark.parametrize("x_max", ["1.0e+100", "1.3407807929942596e+154"])
+    def test_x_max_up_to_the_square_root_of_the_largest_float_classifies(self, tmp_path, capsys, x_max):
+        # 4 rho = 2: transient, and the scan reads phi at t = x_max**2
+        cfg = write(tmp_path, "command: classify\n"
+                    "field: {family: power_law, rho: 0.5, alpha: -0.5, beta: 0.25}\n"
+                    f"classify: {{x_max: {x_max}}}\n")
+        assert main([cfg]) == 0
+        assert capsys.readouterr().out.startswith("verdict=Transient c_estimate=2.000")
+
+    @pytest.mark.parametrize("x_max", ["1.3407807929942597e+154", "1.0e+200", "1.0e+308"])
+    def test_an_x_max_whose_square_overflows_is_a_config_error(self, tmp_path, capsys, x_max):
+        cfg = write(tmp_path, "command: classify\n"
+                    "field: {family: power_law, rho: 0.5, alpha: -0.5, beta: 0.25}\n"
+                    f"classify: {{x_max: {x_max}}}\n")
+        assert main([cfg]) == 2
+        assert "config error: classify.x_max: must be at most 1.3407807929942596e+154" in \
+            capsys.readouterr().err
 
     def test_set_overrides_apply_before_validation(self, tmp_path, capsys):
         cfg = write(tmp_path, "command: classify\n")
@@ -492,12 +573,12 @@ class TestMainErrors:
             ("field: {family: power_law, alpha: 0.5, beta: 0.75}\n", "field.rho: required key missing"),
             ("jumps: {up: {family: gamma_mean1}}\n", "jumps.up.k: required key missing"),
             ("jumps: {down: {family: uniform_mean1, d: wide}}\n", "jumps.down.d: expected a number"),
-            ("jumps: {down: {family: exponential_mean1, k: 2.0}}\n", "jumps.down: unknown key(s): k"),
+            ("jumps: {down: {family: exponential_mean1, k: 2.0}}\n", "jumps.down: unknown key(s): 'k'"),
             # the chain reads phi at parabolic time; no key fixes its time
-            ("field: {family: zero, t_proxy: 1.0e+8}\n", "field: unknown key(s): t_proxy"),
+            ("field: {family: zero, t_proxy: 1.0e+8}\n", "field: unknown key(s): 't_proxy'"),
             # the balance check always solves the exact window
             ("command: check\ncheck: {kind: balance, compare_exact: false}\n",
-             "check: unknown key(s): compare_exact"),
+             "check: unknown key(s): 'compare_exact'"),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
              "values: [[0.1, 0.1], [0.1]]}\n", "field.values: "),
             ("field: {family: tabulated, x_grid: [0.0, 1.0], t_grid: [0.0, 1.0], "
