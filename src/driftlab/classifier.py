@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import DriftField, PowerLaw, RateField
+from .fields import DEFAULT_X_FLOOR, DriftField, PowerLaw, RateField
 
 __all__ = [
     "DECISION_MARGIN",
@@ -162,6 +162,8 @@ def classify_mv_critical(
     x0: float = 2.0,
     x_max: float = 1e4,
     grid: int = 512,
+    *,
+    x_floor: float = DEFAULT_X_FLOOR,
 ) -> Classification:
     """Classify the critical-window power-law family by its closed form.
 
@@ -169,8 +171,8 @@ def classify_mv_critical(
     (0, 1/2) u (1/2, 1), substituting t = x^2 collapses the statistic to
     the constant 4*rho, so the verdict is exact: Recurrent when
     4*rho < 1, Transient when 4*rho > 1.  The grid scan on the
-    equivalent field runs as well and lands in the evidence for
-    cross-checking.
+    equivalent field, ``PowerLaw(rho, 2*beta - 1, beta, x_floor)``, runs
+    as well and lands in the evidence for cross-checking.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -178,7 +180,9 @@ def classify_mv_critical(
         raise ValueError("beta must lie in (0, 1/2) or (1/2, 1)")
 
     alpha = 2.0 * beta - 1.0
-    delegated = classify_theorem1(PowerLaw(rho=rho, alpha=alpha, beta=beta), x0, x_max, grid)
+    delegated = classify_theorem1(
+        PowerLaw(rho=rho, alpha=alpha, beta=beta, x_floor=x_floor), x0, x_max, grid
+    )
 
     c = 4.0 * rho
     if c < 1.0:

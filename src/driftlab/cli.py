@@ -31,6 +31,7 @@ import os
 import stat
 import sys
 import tempfile
+import time
 import dataclasses
 from typing import Any, Callable, Generator, Iterable, Iterator, NamedTuple, Optional
 
@@ -503,7 +504,8 @@ _Output = Generator[str, None, tuple[bool, str]]
 def _cmd_classify(rc: RunConfig) -> _Output:
     p, f = rc.params, rc.field
     if _on_critical_line(f):
-        cls = classify_mv_critical(f.rho, f.beta, p["x0"], p["x_max"], p["grid"])
+        cls = classify_mv_critical(f.rho, f.beta, p["x0"], p["x_max"], p["grid"],
+                                   x_floor=f.x_floor)
     else:
         cls = classify_theorem1(f, p["x0"], p["x_max"], p["grid"])
     result = {**cls.to_record(), "evidence": cls.evidence}
@@ -601,20 +603,19 @@ def _cmd_experiment(rc: RunConfig) -> _Output:
         z0=p["z0"],
         workers=rc.workers,
     )
+    t0 = time.perf_counter()
     report = run_recurrence_experiment(exp)
+    runtime = time.perf_counter() - t0
     if rc.output_format == "csv":
         yield from _experiment_csv(report)
     else:
-        # runtime is left out of the file so identical runs stay byte-identical
-        rec = report.to_record()
-        rec.pop("runtime_seconds", None)
-        yield from _record_chunks(rc, rec)
+        yield from _record_chunks(rc, report.to_record())
     lo, hi = report.returned_ci
     summary = (
         f"paths={report.n_paths} reached={_fmt_num(report.reached_fraction)} "
         f"returned={_fmt_num(report.returned_fraction)} "
         f"ci=[{_fmt_num(lo)},{_fmt_num(hi)}] "
-        f"runtime={report.runtime_seconds:.3g}s"
+        f"runtime={runtime:.3g}s"
     )
     return False, summary
 

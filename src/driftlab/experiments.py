@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -29,7 +28,6 @@ from .seeding import check_seed, path_seeds
 from .simulator import _batch_chunks, _csv, _event_blocks
 
 __all__ = [
-    "PathOutcome",
     "RecurrenceExperiment",
     "ExperimentReport",
     "OccupancyEstimate",
@@ -64,16 +62,6 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 
 
 @dataclass(frozen=True)
-class PathOutcome:
-    path: int
-    seed: int
-    reached_level: bool
-    first_hit_time: float
-    returned: bool
-    final_z: float
-
-
-@dataclass(frozen=True)
 class RecurrenceExperiment:
     """Configuration of one band-return ensemble."""
 
@@ -104,16 +92,22 @@ class RecurrenceExperiment:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Ensemble summary plus the per-path outcomes behind it."""
+    """Ensemble summary plus the per-path outcomes behind it, as columns
+    with one entry per path in index order: each path's seed, whether it
+    reached the level, when it first did (NaN if never), whether it then
+    returned to the band, and its last position."""
 
     n_paths: int
     reached_fraction: float
     returned_fraction: float
     returned_ci: tuple[float, float]
     mean_final_position: float
-    runtime_seconds: float
     proxy: str
-    paths: tuple[PathOutcome, ...]
+    seeds: np.ndarray  # uint64
+    reached: np.ndarray  # bool
+    first_hit_time: np.ndarray  # float64
+    returned: np.ndarray  # bool
+    final_z: np.ndarray  # float64
 
     def to_record(self) -> dict:
         def none_if_nan(v: float):
@@ -125,15 +119,18 @@ class ExperimentReport:
             "returned_fraction": none_if_nan(self.returned_fraction),
             "returned_ci": [none_if_nan(self.returned_ci[0]), none_if_nan(self.returned_ci[1])],
             "mean_final_position": self.mean_final_position,
-            "runtime_seconds": self.runtime_seconds,
             "proxy": self.proxy,
         }
 
 
-def _run_path_range(exp: RecurrenceExperiment, start: int, stop: int) -> list[PathOutcome]:
-    """Outcomes of paths start..stop-1, reduced chunk by chunk from the
-    lockstep engine: first event with |z| >= level, any |z| <= band
-    strictly after it, and the last z (z0 when there are no events)."""
+def _run_path_range(
+    exp: RecurrenceExperiment, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Outcomes of paths start..stop-1 as (reached, first_hit_time,
+    returned, final_z) columns, reduced chunk by chunk from the lockstep
+    engine: first event with |z| >= level (its time, NaN if none), any
+    |z| <= band strictly after it, and the last z (z0 when there are no
+    events)."""
     seeds = path_seeds(exp.seed, start, stop).tolist()
     n = len(seeds)
     reached = np.zeros(n, dtype=bool)
@@ -160,17 +157,7 @@ def _run_path_range(exp: RecurrenceExperiment, start: int, stop: int) -> list[Pa
         t_hit[rows[new]] = times[new, first[new]]
         reached[rows] |= new
         final_z[rows] = z_after[at, counts - 1]
-    return [
-        PathOutcome(
-            path=start + i,
-            seed=seeds[i],
-            reached_level=bool(reached[i]),
-            first_hit_time=float(t_hit[i]),
-            returned=bool(returned[i]),
-            final_z=float(final_z[i]),
-        )
-        for i in range(n)
-    ]
+    return reached, t_hit, returned, final_z
 
 
 def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
@@ -189,11 +176,10 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
             stacklevel=2,
         )
 
-    t0 = time.perf_counter()
     cpus = os.cpu_count() or 1
     workers = min(exp.workers, cpus) if exp.workers > 0 else cpus
     if workers == 1 or exp.n_paths < 4:
-        outcomes = _run_path_range(exp, 0, exp.n_paths)
+        reached, t_hit, returned, final_z = _run_path_range(exp, 0, exp.n_paths)
     else:
         # one contiguous span, hence one engine batch, per worker
         chunk = math.ceil(exp.n_paths / workers)
@@ -206,16 +192,15 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
 
         with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             parts = pool.map(_run_path_range, *zip(*((exp, a, b) for a, b in spans)))
-            outcomes = [o for part in parts for o in part]
-    runtime = time.perf_counter() - t0
+            reached, t_hit, returned, final_z = map(np.concatenate, zip(*parts))
 
     n = exp.n_paths
-    n_reached = sum(1 for o in outcomes if o.reached_level)
-    n_returned = sum(1 for o in outcomes if o.returned)
+    n_reached = np.count_nonzero(reached)
+    n_returned = np.count_nonzero(returned)
     reached_fraction = n_reached / n
     returned_fraction = n_returned / n_reached if n_reached else math.nan
     ci = wilson_interval(n_returned, n_reached)
-    mean_final = float(np.mean([o.final_z for o in outcomes]))
+    mean_final = float(np.mean(final_z))
     if reached_fraction < 0.5:
         warnings.warn(
             f"only {reached_fraction:.1%} of paths reached level {exp.level:g}; "
@@ -230,9 +215,12 @@ def run_recurrence_experiment(exp: RecurrenceExperiment) -> ExperimentReport:
         returned_fraction=returned_fraction,
         returned_ci=ci,
         mean_final_position=mean_final,
-        runtime_seconds=runtime,
         proxy="band-return",
-        paths=tuple(outcomes),
+        seeds=path_seeds(exp.seed, 0, n),
+        reached=reached,
+        first_hit_time=t_hit,
+        returned=returned,
+        final_z=final_z,
     )
 
 
@@ -245,11 +233,9 @@ def _experiment_csv(report: ExperimentReport) -> Iterator[str]:
     """``experiment_csv``'s text, piece by piece."""
     return _csv(
         "path,seed,reached_L,first_hit_time,returned,final_z\n",
-        lambda o: (
-            f"{o.path},{o.seed},{int(o.reached_level)},{o.first_hit_time!r},"
-            f"{int(o.returned)},{o.final_z!r}\n"
-        ),
-        [(np.array(report.paths, dtype=object),)],  # one column of PathOutcomes
+        lambda i, s, r, t, b, z: f"{i},{s},{int(r)},{t!r},{int(b)},{z!r}\n",
+        [(np.arange(report.n_paths), report.seeds, report.reached, report.first_hit_time,
+          report.returned, report.final_z)],
     )
 
 

@@ -70,7 +70,7 @@ from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -197,9 +197,9 @@ def _blocks(
     scale: float,
     paths: np.ndarray,
     first: int,
-    cols: int,
+    cols: int | None,
     rngs: Callable[[np.ndarray, int], Iterable[np.random.Generator]],
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]]:
+) -> Generator[tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray], None, np.ndarray]:
     """Draw contract 5 for ``paths``, window by window, until each has
     crossed ``horizon``.
 
@@ -216,7 +216,9 @@ def _blocks(
     by the next window, so a consumer reduces them before asking for it.
     A path whose waits fill its window goes on in the next, so every
     window but one that its caller reads alone is a whole number of
-    blocks.
+    blocks.  With ``cols`` None only the first window is read: the rows
+    that fill it are neither drawn from stream B nor yielded, and the
+    generator returns their paths, in order.
 
     ``rngs(ps, s)`` gives, in the order of ``ps``, the stream-s
     generators (0: A, 1: B) of those paths, each where its stream goes
@@ -253,10 +255,16 @@ def _blocks(
             bufs[0], bufs[1] = bufs[1], bufs[0]
             paths, k = paths[order], k[order]
         rows = int(np.count_nonzero(k))
-        t, u, *marks = (None if b is None else b[:rows] for b in bufs)
+        # the rows that fill the window, a prefix of them, go on; a
+        # one-window read draws and yields only the rows after them
+        go = int(np.count_nonzero(k == c)) if rows and k[0] == c else 0
+        lo = go if cols is None else 0
+        carry = bufs[0][:go, -1].copy()
+        t, u, *marks = (None if b is None else b[lo:rows] for b in bufs)
+        k = k[lo:rows]
         # with no marks to draw, a row's blocks are one run of uniforms
         step = _BLOCK if drawn else c
-        for i, kc, rng in zip(range(rows), k.tolist(), rngs(paths[:rows], 1)):
+        for i, kc, rng in zip(range(k.size), k.tolist(), rngs(paths[lo:rows], 1)):
             for j0 in range(0, kc, step):
                 j1 = min(j0 + step, kc)
                 rng.random(out=u[i, j0:j1])
@@ -265,16 +273,16 @@ def _blocks(
         if drawn:
             # finish only the marks just drawn: the padding past a row's
             # count was finished in an earlier window, or never drawn
-            fresh = cols_c < k[:rows, None]
+            fresh = cols_c < k[:, None]
             for law, j in drawn:
                 law._finish(marks[j], where=fresh)
-        # the rows that fill the window, a prefix of them, go on
-        go = int(np.count_nonzero(k == c)) if rows and k[0] == c else 0
-        carry = t[:go, -1].copy()
-        if rows:
-            yield paths[:rows], t, u, marks, k[:rows]
+        if k.size:
+            yield paths[lo:rows], t, u, marks, k
+        if cols is None:
+            return paths[:go]
         paths = paths[:go]
         c = cols
+    return paths
 
 
 def _path_blocks(
@@ -317,9 +325,10 @@ def _lockstep(
 
     The first window holds ``_first_block(horizon / scale)`` waits, read
     through one shared pair of generators set to each path's derived
-    starting states.  A path that fills it is dropped from it and starts
-    again on its own pair, made at that point, in windows of ``_BLOCK``
-    waits, each of which reads one whole B block or the path's last.
+    starting states.  A path that fills it is not drawn from stream B
+    there; it starts again on its own pair, made at that point, in
+    windows of ``_BLOCK`` waits, each of which reads one whole B block or
+    the path's last.
     """
     if horizon <= 0.0:
         return
@@ -334,19 +343,8 @@ def _lockstep(
         sts = [states[p] for p in ps.tolist()]
         return _at_states(shared[s], stream_b_states(sts) if s else sts)
 
-    def first_window():
-        # returns the paths that fill it, once their rows are read
-        n = _first_block(horizon / scale)
-        for paths, t, u, marks, k in _blocks(laws, horizon, scale, np.arange(len(states)), n, n,
-                                             at_states):
-            go = int(np.count_nonzero(k == n))
-            if go < k.size:
-                yield (paths[go:], t[go:], u[go:], [None if m is None else m[go:] for m in marks],
-                       k[go:])
-            return paths[:go]
-        return np.zeros(0, np.intp)  # no path has an event, so none goes on
-
-    live = yield from first_window()
+    n = _first_block(horizon / scale)
+    live = yield from _blocks(laws, horizon, scale, np.arange(len(states)), n, None, at_states)
     own = {}
     for p, b_state in zip(live.tolist(), stream_b_states(states[p] for p in live.tolist())):
         own[p] = [np.random.Generator(np.random.PCG64(blank)) for _ in range(2)]

@@ -361,11 +361,24 @@ class TestMainClassify:
         rc = parse_config(f"command: classify\nfield: {field}\n")
         out = tmp_path / "res.json"
         assert main([write(tmp_path, f"command: classify\nfield: {field}\n"), "--out", str(out)]) == 0
-        want = classify_mv_critical(rc.field.rho, rc.field.beta)
+        want = classify_mv_critical(rc.field.rho, rc.field.beta, x_floor=rc.field.x_floor)
         assert json.loads(out.read_text())["result"] == json.loads(cli._record_json(
             rc, {**want.to_record(), "evidence": want.evidence}))["result"]
         assert want.method == "mv-critical"
         assert "method=mv-critical" in capsys.readouterr().out
+
+    def test_the_delegated_scan_reads_the_field_x_floor(self, tmp_path):
+        # s(x) = 1.2 sqrt(x / 1000) sits below 1 up to x ~ 694, inside the
+        # scan's tail window: this field's own scan is Inconclusive, while
+        # the same rho and beta at x_floor 1 scan Transient
+        field = "{family: power_law, rho: 0.3, alpha: -0.5, beta: 0.25, x_floor: 1000.0}"
+        rc = parse_config(f"command: classify\nfield: {field}\n")
+        out = tmp_path / "res.json"
+        assert main([write(tmp_path, f"command: classify\nfield: {field}\n"), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert (result["method"], result["verdict"]) == ("mv-critical", "Transient")
+        assert result["evidence"]["delegated_verdict"] == "Inconclusive"
+        assert result["evidence"]["delegated_verdict"] == classify_theorem1(rc.field).verdict.value
 
     @pytest.mark.parametrize(
         "field",

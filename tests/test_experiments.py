@@ -16,7 +16,6 @@ from driftlab.classifier import BDChain, discretize_to_bd, ratio_family_chain
 from driftlab import experiments, simulator
 from driftlab.experiments import (
     OccupancyEstimate,
-    PathOutcome,
     RecurrenceExperiment,
     _run_path_range,
     balance_residual,
@@ -198,7 +197,7 @@ class TestRecurrenceExperiment:
         )
         short = quiet_run(RecurrenceExperiment(**base, horizon=1500.0))
         long = quiet_run(RecurrenceExperiment(**base, horizon=6000.0))
-        n_reached = sum(1 for o in short.paths if o.reached_level)
+        n_reached = np.count_nonzero(short.reached)
         se = math.sqrt(short.returned_fraction * (1 - short.returned_fraction) / n_reached)
         assert long.returned_fraction >= short.returned_fraction - se
 
@@ -207,19 +206,25 @@ class TestRecurrenceExperiment:
             ZERO, ExponentialMean1(), ExponentialMean1(), 50, 80.0, 4.0, 1.0, seed=9
         )
         rep = quiet_run(exp)
-        assert rep.n_paths == len(rep.paths) == 50
-        for o in rep.paths:
-            if o.reached_level:
-                assert 0.0 < o.first_hit_time <= 80.0
-            else:
-                assert math.isnan(o.first_hit_time)
-                assert not o.returned
+        assert rep.n_paths == 50
+        assert [getattr(rep, name).dtype for name in COLUMNS] == COLUMN_DTYPES
+        assert all(getattr(rep, name).shape == (50,) for name in COLUMNS)
+        hit = rep.first_hit_time
+        assert np.all((hit[rep.reached] > 0.0) & (hit[rep.reached] <= 80.0))
+        assert np.all(np.isnan(hit[~rep.reached]))
+        assert not rep.returned[~rep.reached].any()
         ci = rep.returned_ci
         assert 0.0 <= ci[0] <= rep.returned_fraction <= ci[1] <= 1.0
 
 
+COLUMNS = ("seeds", "reached", "first_hit_time", "returned", "final_z")
+COLUMN_DTYPES = [np.dtype(np.uint64), np.dtype(bool), np.dtype(np.float64), np.dtype(bool),
+                 np.dtype(np.float64)]
+
+
 def scalar_outcome(exp, index):
-    """Reference: one materialized ``simulate_walk`` path per outcome."""
+    """Reference: one materialized ``simulate_walk`` path per outcome, as
+    (seed, reached, first_hit_time, returned, final_z)."""
     seed = path_seed(exp.seed, index)
     traj = simulate_walk(exp.rate_field, exp.up_law, exp.down_law, exp.horizon, seed, exp.z0)
     reached, t_hit, returned = False, math.nan, False
@@ -229,12 +234,25 @@ def scalar_outcome(exp, index):
         i = int(np.argmax(hit))
         reached, t_hit = True, float(traj.times[i])
         returned = bool(np.any(absz[i + 1 :] <= exp.band))
-    return PathOutcome(index, seed, reached, t_hit, returned, traj.final_z)
+    return seed, reached, t_hit, returned, traj.final_z
 
 
-def outcome_reprs(outcomes):
-    # repr keeps nan == nan, the float bits and the Python types
-    return [repr(dataclasses.astuple(o)) for o in outcomes]
+def scalar_columns(exp):
+    """The report's columns, built from ``scalar_outcome`` path by path."""
+    rows = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
+    return {name: np.array(col, dtype) for name, col, dtype in zip(COLUMNS, zip(*rows), COLUMN_DTYPES)}
+
+
+def outcome_columns(rep):
+    return {name: getattr(rep, name) for name in COLUMNS}
+
+
+def assert_same_columns(got, want):
+    # equal dtypes, shapes and bytes: the float bits, NaNs where they stand
+    for name in COLUMNS:
+        g, w = got[name], want[name]
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
 
 
 # A small table that decays in t as well as in |x|.
@@ -277,8 +295,7 @@ class TestBatchedEngine:
     """The lockstep engine reduces every path exactly as the scalar loop."""
 
     def check(self, exp):
-        want = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
-        assert outcome_reprs(quiet_run(exp).paths) == outcome_reprs(want)
+        assert_same_columns(outcome_columns(quiet_run(exp)), scalar_columns(exp))
 
     @pytest.mark.parametrize("field", ENGINE_FIELDS, ids=lambda f: type(f).__name__)
     @pytest.mark.parametrize("law", range(len(ENGINE_LAWS)))
@@ -339,14 +356,14 @@ class TestBatchedEngine:
     def check_without_unit_mark_draws(self, monkeypatch, exp):
         # unit marks come from buffers filled once: the engine must not
         # ask Constant1 for a block (the scalar reference still does)
-        want = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
+        want = scalar_columns(exp)
 
         def no_draws(law, rng, out):
             raise AssertionError("Constant1 drew a block in the engine")
 
         # sample_block draws through _draw, so this covers both
         monkeypatch.setattr(Constant1, "_draw", no_draws)
-        assert outcome_reprs(quiet_run(exp).paths) == outcome_reprs(want)
+        assert_same_columns(outcome_columns(quiet_run(exp)), want)
 
     @pytest.mark.parametrize("field", ENGINE_FIELDS, ids=lambda f: type(f).__name__)
     @pytest.mark.parametrize("horizon", [4070.0, 9000.0], ids=["last-chunk", "multi-block"])
@@ -411,8 +428,32 @@ class TestBatchedEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(outcomes) == 400
+        assert [col.shape for col in outcomes] == [(400,)] * 4
         assert peak <= 5.3e6
+
+    @pytest.mark.parametrize("horizon,b_sets", [(2e4, 0), (60.0, 400)])
+    def test_first_window_sets_stream_b_only_for_paths_that_end_in_it(
+        self, monkeypatch, horizon, b_sets
+    ):
+        # at t = 2e4 all 400 paths fill their 256-wait first window and go
+        # on on their own generators; at t = 60 all end in their 138-wait one
+        sets = []
+        at_states = simulator._at_states
+
+        def counting(rng, states):
+            for set_rng in at_states(rng, states):
+                sets.append(set_rng)
+                yield set_rng
+
+        monkeypatch.setattr(simulator, "_at_states", counting)
+        exp = RecurrenceExperiment(
+            RateField(CriticalLamperti(c=0.5)), Constant1(), Constant1(), 400, horizon, 50.0,
+            1.0, seed=7,
+        )
+        _run_path_range(exp, 0, 400)
+        a = sets[0]  # stream A's shared generator is set first
+        assert sets.count(a) == 400
+        assert len(sets) - 400 == b_sets
 
     def test_more_paths_than_one_sub_batch_at_full_size(self):
         exp = RecurrenceExperiment(
@@ -425,10 +466,11 @@ class TestBatchedEngine:
         exp = RecurrenceExperiment(
             RateField(TABLE), GammaMean1(k=2.0), Constant1(), 10, 300.0, 4.0, 1.0, seed=45
         )
-        want = [scalar_outcome(exp, i) for i in range(exp.n_paths)]
-        text = experiment_csv(types.SimpleNamespace(paths=want))
+        want = scalar_columns(exp)
+        text = experiment_csv(types.SimpleNamespace(n_paths=exp.n_paths, **want))
         for workers in (1, 2):
             rep = quiet_run(dataclasses.replace(exp, workers=workers))
+            assert_same_columns(outcome_columns(rep), want)
             assert experiment_csv(rep) == text
 
     def test_power_law_fixed_seed(self):
@@ -450,15 +492,19 @@ class TestExperimentCsv:
         lines = experiment_csv(rep).strip().split("\n")
         assert lines[0] == "path,seed,reached_L,first_hit_time,returned,final_z"
         assert len(lines) == 13
-        for line, o in zip(lines[1:], rep.paths):
-            cols = line.split(",")
-            assert int(cols[0]) == o.path
-            assert int(cols[1]) == o.seed
-            assert int(cols[2]) == int(o.reached_level)
-            t = float(cols[3])
-            assert t == o.first_hit_time or (math.isnan(t) and math.isnan(o.first_hit_time))
-            assert int(cols[4]) == int(o.returned)
-            assert float(cols[5]) == o.final_z
+        rows = [line.split(",") for line in lines[1:]]
+        path, seed, reached, t_hit, returned, final_z = zip(*rows)
+        assert [int(v) for v in path] == list(range(12))
+        assert_same_columns(
+            {
+                "seeds": np.array([int(v) for v in seed], np.uint64),
+                "reached": np.array([int(v) for v in reached]) == 1,
+                "first_hit_time": np.array([float(v) for v in t_hit]),
+                "returned": np.array([int(v) for v in returned]) == 1,
+                "final_z": np.array([float(v) for v in final_z]),
+            },
+            outcome_columns(rep),
+        )
 
 
 class TestOccupancy:

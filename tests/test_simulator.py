@@ -816,17 +816,24 @@ def test_experiment_matches_per_path_default_rng(workers):
     rf, up, down, _sigma, z0 = SEEDING_CASES[1]
     for seed in EDGE_MASTERS:
         exp = RecurrenceExperiment(rf, up, down, 515, 50.0, 3.0, 1.0, seed, z0, workers)
-        got = run_recurrence_experiment(exp).paths
-        for i, o in enumerate(got):
+        rep = run_recurrence_experiment(exp)
+        assert [c.dtype for c in (rep.seeds, rep.reached, rep.first_hit_time, rep.returned,
+                                  rep.final_z)] == [np.uint64, bool, np.float64, bool, np.float64]
+        want_hit, want_returned, want_final = np.full(515, np.nan), np.zeros(515, bool), []
+        for i in range(515):
             traj = simulate_walk(rf, up, down, 50.0, path_seed(seed, i), z0)
-            assert o.seed == path_seed(seed, i)
-            assert same_bits(o.final_z, traj.final_z)
+            want_final.append(traj.final_z)
             absz = np.abs(traj.z_after)
             hit = np.flatnonzero(absz >= 3.0)
-            assert o.reached_level == bool(hit.size)
             if hit.size:
-                assert same_bits(o.first_hit_time, traj.times[hit[0]])
-                assert o.returned == bool(np.any(absz[hit[0] + 1 :] <= 1.0))
+                want_hit[i] = traj.times[hit[0]]
+                want_returned[i] = np.any(absz[hit[0] + 1 :] <= 1.0)
+        assert rep.seeds.tolist() == [path_seed(seed, i) for i in range(515)]
+        assert same_bits(rep.final_z, want_final)
+        # NaN where a path never reached, so the reached column is pinned too
+        assert same_bits(rep.first_hit_time, want_hit)
+        assert np.array_equal(rep.reached, ~np.isnan(want_hit))
+        assert np.array_equal(rep.returned, want_returned)
 
 
 VARIABLE_RATES = [
