@@ -46,6 +46,26 @@ CONFIGS = {
                   + UNIT + "experiment: {n_paths: 30, horizon: 60.0, level: 3.0, band: 1.0}\n",
 }
 CONFIGS["experiment_csv"] = CONFIGS["experiment"] + "output: {format: csv}\n"
+# The chain records take no draws, but their bytes pin the cell averages,
+# the escape series and the balance solve bit for bit.  The first series
+# tail crosses the window edge inside a piece and a block edge after it;
+# the bilateral one runs the mirrored tail past its window too.
+TABLE = ("{family: tabulated, x_grid: [0.0, 5.0, 20.0, 100.0], t_grid: [0.0, 1000.0, 20000.0], "
+         "values: [[0.2, 0.15, 0.1], [0.1, 0.08, 0.05], [0.04, 0.03, 0.02], [0.01, 0.01, 0.005]]}")
+CONFIGS.update({
+    "bd_oracle_tail": "command: bd-oracle\nfield: {family: critical_lamperti, c: 2.0}\n"
+                      f"bd-oracle: {{n_max: 3000, tail_extension: {2**17 + 5000}}}\n",
+    "bd_oracle_bilateral": "command: bd-oracle\n"
+                           "field: {family: power_law, rho: 0.1, alpha: -0.5, beta: 0.25}\n"
+                           "bd-oracle: {n_min: -300, n_max: 300, n0: 2, bilateral: true, "
+                           "criterion: both, tail_extension: 50000}\n",
+    "bd_oracle_ratio": "command: bd-oracle\n"
+                       "bd-oracle: {source: ratio, c: 1.5, n_max: 2000, tail_extension: 30000}\n",
+    "bd_oracle_csv": f"command: bd-oracle\nfield: {TABLE}\nbd-oracle: {{n_max: 400}}\n"
+                     "output: {format: csv}\n",
+    "balance": "command: check\nfield: {family: mean_reverting, kappa: 0.2}\n" + UNIT
+               + "check: {kind: balance, total_time: 10000.0, window_min: -10, window_max: 10}\n",
+})
 SEEDS = (7, 2**64 - 1)
 
 DIGESTS = {
@@ -61,6 +81,16 @@ DIGESTS = {
     ("experiment", 2**64 - 1): "161fba803c2657de5b99bdbd82fd51b1abdc31d6feb59b5229c9dff31c8cda4f",
     ("experiment_csv", 7): "70c10b4b23240288712afcea84122b8e41b513638a0370b5762ab97c10f5fb8e",
     ("experiment_csv", 2**64 - 1): "8fba6f50c1498a16613872d46fa4d99fa424acbb759da300d03499fd1b3d47fe",
+    ("bd_oracle_tail", 7): "0e6fff5db859a11d147d316512b18f741b8f06daef323c86aec79787533b96b4",
+    ("bd_oracle_tail", 2**64 - 1): "fdefa25fd1c6f3adef17837eebb06bd72597e0958796d6a94e2de57d5c285538",
+    ("bd_oracle_bilateral", 7): "82e8197273f73c60635548cffc7ed6f2ed23abe391391486de3c1df649016bab",
+    ("bd_oracle_bilateral", 2**64 - 1): "17af97f65a05b601cb1df3c040796e2a502c3afc5e3a927f1594159a859a6868",
+    ("bd_oracle_ratio", 7): "4c65ac3c6291752cc34da4113650613c6ada694ee9c1b15c2411e7392f5ac2dd",
+    ("bd_oracle_ratio", 2**64 - 1): "5f2d5015dda5192b57c8ceb2da6c4b8bb437ff8577311b6cd03299672405907d",
+    ("bd_oracle_csv", 7): "6f8f28a148fe1fe35d026cddce728d60204d949366404c02bbc6a8dc5aca70ab",
+    ("bd_oracle_csv", 2**64 - 1): "6f8f28a148fe1fe35d026cddce728d60204d949366404c02bbc6a8dc5aca70ab",
+    ("balance", 7): "ec39e7cfd1d3a8dbcc8ac07cda810ee73e6539ddff8d572ad220f089665c91cf",
+    ("balance", 2**64 - 1): "3903fac6d00ba69ae7057b7e81445d5897d3ae9e831b94077783c1052189be32",
 }
 
 
