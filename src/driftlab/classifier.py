@@ -11,12 +11,15 @@ Two routes to a verdict:
    2*beta - 1, which ``_on_critical_line`` recognises) the statistic is
    the constant 4*rho, and ``classify_mv_critical`` decides it exactly.
 
-2. Birth-death reductions: ``discretize_to_bd`` turns the rates at
-   the parabolic time t = max(x^2, 1) into a nearest-neighbour chain by
+2. Birth-death reductions: a ``BDChain`` is its rate function, which
+   gives the up/down rates at any integer site, with the rates on its
+   window [n_min, n_max] computed once.  ``discretize_to_bd`` builds
+   one from the rates at the parabolic time t = max(x^2, 1) by
    cell-averaging, after which
    ``ratio_test`` (compare lambda*/mu* against 1 + 1/n) and
    ``bd_series_criterion`` (convergence of the escape series
-   sum_n prod_k mu*_k/lambda*_k) classify the chain directly.
+   sum_n prod_k mu*_k/lambda*_k, whose tail may run past the window)
+   classify the chain directly.
    ``classify_bd_bilateral`` combines both tails: escape through either
    side makes the walk transient.
 
@@ -30,7 +33,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -218,29 +221,35 @@ RatePair = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class BDChain:
-    """Bilateral nearest-neighbour chain read off cell-averaged rates.
+    """Bilateral nearest-neighbour chain given by its rate function.
 
-    ``lam[i]``/``mu[i]`` are the up/down rates at site n = n_min + i.
-    ``extend``, when present, evaluates the same rates at sites beyond
-    the stored window (used for analytic tail extension).
+    ``rates(ns)`` returns the up/down rates ``(lam, mu)`` at any integer
+    sites ``ns``, inside the window [n_min, n_max] or beyond it (the
+    series criterion's tail reads beyond).  ``lam[i]``/``mu[i]`` are the
+    window's rates at site n = n_min + i, computed once; they must be
+    positive.
     """
 
     n_min: int
     n_max: int
-    lam: np.ndarray
-    mu: np.ndarray
-    extend: Optional[Callable[[np.ndarray], RatePair]] = None
+    rates: Callable[[np.ndarray], RatePair]
+    lam: np.ndarray = dc_field(init=False)
+    mu: np.ndarray = dc_field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", np.asarray(self.lam, float))
-        object.__setattr__(self, "mu", np.asarray(self.mu, float))
         if self.n_min > self.n_max:
             raise ValueError("n_min must not exceed n_max")
-        size = self.n_max - self.n_min + 1
-        if self.lam.shape != (size,) or self.mu.shape != (size,):
-            raise ValueError("rate arrays must have one entry per site")
-        if np.any(self.lam <= 0) or np.any(self.mu <= 0):
-            raise ValueError("chain rates must be positive")
+        ns = self.sites
+        lam, mu = (np.asarray(r, float) for r in self.rates(ns))
+        if lam.shape != ns.shape or mu.shape != ns.shape:
+            raise ValueError("rates must return one entry per site")
+        bad = np.flatnonzero((lam <= 0.0) | (mu <= 0.0))
+        if bad.size:
+            # e.g. a cell sitting entirely on the clip boundary averages mu* to 0
+            raise ValueError(f"rate non-positive at cell n={int(ns[bad[0]])}; "
+                             "shrink the window away from it")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def sites(self) -> np.ndarray:
@@ -250,27 +259,6 @@ class BDChain:
         if not self.n_min <= n <= self.n_max:
             raise ValueError(f"site {n} outside window [{self.n_min}, {self.n_max}]")
         return n - self.n_min
-
-    def rates_at(self, ns: np.ndarray) -> RatePair:
-        """Rates at arbitrary sites, using ``extend`` beyond the window."""
-        ns = np.asarray(ns)
-        inside = (ns >= self.n_min) & (ns <= self.n_max)
-        if inside.all():
-            idx = ns - self.n_min
-            return self.lam[idx], self.mu[idx]
-        if self.extend is None:
-            raise ValueError("chain has no analytic extension beyond its window")
-        if not inside.any():
-            return self.extend(ns)
-        lam = np.empty(ns.shape)
-        mu = np.empty(ns.shape)
-        idx = ns[inside] - self.n_min
-        lam[inside] = self.lam[idx]
-        mu[inside] = self.mu[idx]
-        lo, mo = self.extend(ns[~inside])
-        lam[~inside] = lo
-        mu[~inside] = mo
-        return lam, mu
 
 
 def discretize_to_bd(
@@ -287,9 +275,10 @@ def discretize_to_bd(
     the time by which a diffusive walk typically reaches height x, as in
     the time-inhomogeneous birth-death criterion; the clamp keeps
     families that diverge at t = 0 finite near the origin.  Fields that
-    do not depend on t give the same chain at any time.  The chain keeps
-    a callable that extends the same averages to sites outside
-    [n_min, n_max].
+    do not depend on t give the same chain at any time.  The chain's
+    rate function is this cell average, so it gives the same averages at
+    sites outside [n_min, n_max]; the chain raises when a cell of the
+    window averages a rate to 0 or below.
     """
     if n_min >= n_max:
         raise ValueError("n_min must be strictly below n_max")
@@ -311,16 +300,7 @@ def discretize_to_bd(
             np.asarray(mu_x).mean(axis=1, out=mu[lo:hi])
         return lam, mu
 
-    ns = np.arange(n_min, n_max + 1)
-    lam, mu = cell_rates(ns)
-    bad = np.flatnonzero((lam <= 0.0) | (mu <= 0.0))
-    if bad.size:
-        # A cell sitting entirely on the clip boundary averages mu* to 0.
-        raise ValueError(
-            f"averaged rate non-positive at cell n={int(ns[bad[0]])}; "
-            "shrink the window away from the clipped region"
-        )
-    return BDChain(n_min=n_min, n_max=n_max, lam=lam, mu=mu, extend=cell_rates)
+    return BDChain(n_min, n_max, cell_rates)
 
 
 def ratio_family_chain(c: float, n_min: int, n_max: int) -> BDChain:
@@ -336,19 +316,24 @@ def ratio_family_chain(c: float, n_min: int, n_max: int) -> BDChain:
         mu = 1.0 / (1.0 + r)
         return r * mu, mu
 
-    ns = np.arange(n_min, n_max + 1)
-    lam, mu = rates(ns)
-    return BDChain(n_min=n_min, n_max=n_max, lam=lam, mu=mu, extend=rates)
+    return BDChain(n_min, n_max, rates)
 
 
-def _check_outward(lam: np.ndarray, mu: np.ndarray, n0: int) -> None:
-    """Both chain criteria assume lambda*_n >= mu*_n from n0 on."""
+def _outward_tail(chain: BDChain, n0: int) -> RatePair:
+    """The window's rates on [n0, n_max], which both chain criteria need
+    outward-dominant: lambda*_n >= mu*_n from n0 >= 1 on."""
+    if n0 < 1:
+        raise ValueError("n0 must be at least 1")
+    if not chain.n_min <= n0 <= chain.n_max:
+        raise ValueError("n0 must lie inside the chain window")
+    lam, mu = chain.lam[n0 - chain.n_min:], chain.mu[n0 - chain.n_min:]
     bad = np.flatnonzero(lam < mu)
     if bad.size:
         n_bad = n0 + int(bad[0])
         raise ValueError(
             f"violated setting: lambda*_n < mu*_n in the tail (first at n={n_bad})"
         )
+    return lam, mu
 
 
 def ratio_test(chain: BDChain, n0: int) -> Classification:
@@ -362,16 +347,10 @@ def ratio_test(chain: BDChain, n0: int) -> Classification:
     The test only covers outward-dominant tails: it requires
     lambda*_n >= mu*_n on [n0, n_max] and raises when that is violated.
     """
-    if n0 < 1:
-        raise ValueError("n0 must be at least 1")
-    if not chain.n_min <= n0 <= chain.n_max:
-        raise ValueError("n0 must lie inside the chain window")
-
-    i0 = chain.index(n0)
+    lam, mu = _outward_tail(chain, n0)
     ns = np.arange(n0, chain.n_max + 1, dtype=float)
-    _check_outward(chain.lam[i0:], chain.mu[i0:], n0)
     with np.errstate(divide="ignore"):
-        ratios = chain.lam[i0:] / chain.mu[i0:]
+        ratios = lam / mu
     excess = ns * (ratios - 1.0)
     ex_min = float(np.min(excess))
     ex_max = float(np.max(excess))
@@ -412,8 +391,8 @@ def bd_series_criterion(chain: BDChain, n0: int, tail_extension: int = 0) -> Cla
     """Classify a chain by the escape series S = sum_n prod_k mu*_k/lambda*_k.
 
     The chain is transient exactly when S converges.  Products are
-    accumulated in log space over [n0, n_max + tail_extension] (the tail
-    needs the chain's analytic extension).  Convergence is read off a
+    accumulated in log space over [n0, n_max + tail_extension], the tail
+    read from the chain's rate function.  Convergence is read off a
     doubling ladder of checkpoints three ways:
 
     * literal: the running term falls below 1e-12 and the last doubling
@@ -429,16 +408,9 @@ def bd_series_criterion(chain: BDChain, n0: int, tail_extension: int = 0) -> Cla
     outward-dominant tail (lambda*_n >= mu*_n on the stored window) and
     raises when that is violated.
     """
-    if n0 < 1:
-        raise ValueError("n0 must be at least 1")
-    if not chain.n_min <= n0 <= chain.n_max:
-        raise ValueError("n0 must lie inside the chain window")
+    _outward_tail(chain, n0)
     if tail_extension < 0:
         raise ValueError("tail_extension must be nonnegative")
-    if tail_extension > 0 and chain.extend is None:
-        raise ValueError("tail extension requires a chain with an analytic extension")
-    i0 = chain.index(n0)
-    _check_outward(chain.lam[i0:], chain.mu[i0:], n0)
 
     n_end = chain.n_max + tail_extension
     total = n_end - n0 + 1
@@ -469,7 +441,7 @@ def bd_series_criterion(chain: BDChain, n0: int, tail_extension: int = 0) -> Cla
         part_log = part_sum = -0.0
         for lo in range(done, done + m, piece):
             k = min(piece, done + m - lo)
-            lam, mu = chain.rates_at(np.arange(n0 + lo, n0 + lo + k))
+            lam, mu = chain.rates(np.arange(n0 + lo, n0 + lo + k))
             logs, csum = logs_buf[:k], sums_buf[:k]
             # mu* can be exactly 0 where phi sits on the clip boundary; the
             # log then carries -inf and every later term is a clean 0.
@@ -554,19 +526,7 @@ def bd_series_criterion(chain: BDChain, n0: int, tail_extension: int = 0) -> Cla
 def _mirror_chain(chain: BDChain, n0: int) -> BDChain:
     """Left tail viewed from the origin: site m plays -m with the up/down
     roles exchanged, so outward motion is again 'up'."""
-    m_max = -chain.n_min
-    ms = np.arange(n0, m_max + 1)
-    mu_src, lam_src = chain.rates_at(-ms)  # swapped on purpose
-    extend = None
-    if chain.extend is not None:
-        base = chain.extend
-
-        def extend_mirror(ms_out: np.ndarray) -> RatePair:
-            lam_o, mu_o = base(-np.asarray(ms_out))
-            return mu_o, lam_o
-
-        extend = extend_mirror
-    return BDChain(n_min=n0, n_max=m_max, lam=lam_src, mu=mu_src, extend=extend)
+    return BDChain(n0, -chain.n_min, lambda ms: chain.rates(-np.asarray(ms))[::-1])
 
 
 def classify_bd_bilateral(

@@ -230,7 +230,7 @@ _PARAMS: dict[str, dict[str, tuple[str, Any, Any]]] = {
         "n0": ("int", lambda p: max(1, p["n_min"]), None),
         "quadrature_points": ("int", 8, 1), "tail_extension": ("int", 0, 0),
         "criterion": ("str", "both", ("ratio", "series", "both")),
-        "bilateral": ("bool", False, None), "c": ("float", None, None),
+        "bilateral": ("bool", False, None), "c": ("float", None, 0.0),
     },
     "experiment": {
         "n_paths": ("int", _REQUIRED, 1), "horizon": ("float", _REQUIRED, 0.0),

@@ -340,12 +340,11 @@ def balance_residual(occ: OccupancyEstimate, chain: BDChain) -> BalanceResidual:
 
     ns = np.arange(occ.n_min + 1, occ.n_max)
     p = occ.p_star
-    lam, mu = chain.rates_at(ns)
-    lam_lo, _ = chain.rates_at(ns - 1)
-    _, mu_hi = chain.rates_at(ns + 1)
+    c = ns - chain.n_min  # the margin keeps c - 1 and c + 1 inside the chain
+    lam, mu = chain.lam, chain.mu
 
     i = ns - occ.n_min
-    res = p[i + 1] * mu_hi + p[i - 1] * lam_lo - p[i] * (lam + mu)
+    res = p[i + 1] * mu[c + 1] + p[i - 1] * lam[c - 1] - p[i] * (lam[c] + mu[c])
     return BalanceResidual(
         n_lo=int(ns[0]), n_hi=int(ns[-1]), residuals=res, l1=float(np.sum(np.abs(res)))
     )
@@ -368,7 +367,8 @@ def solve_balance_window(chain: BDChain, n_min: int, n_max: int) -> OccupancyEst
     if chain.n_min > n_min or chain.n_max < n_max:
         raise ValueError("chain window must cover the requested window")
 
-    lam, mu = chain.rates_at(np.arange(n_min, n_max + 1))
+    window = slice(n_min - chain.n_min, n_max - chain.n_min + 1)
+    lam, mu = chain.lam[window], chain.mu[window]
     log_p = np.concatenate(((0.0,), np.cumsum(np.log(lam[:-1]) - np.log(mu[1:]))))
     if not np.all(np.isfinite(log_p)):
         raise ArithmeticError("stationary masses are not finite")

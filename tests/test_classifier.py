@@ -29,6 +29,25 @@ def cl_rates(c, x_floor=1.0):
     return RateField(CriticalLamperti(c=c, x_floor=x_floor))
 
 
+def array_chain(n_min, lam, mu, beyond=None):
+    """A chain whose rates are the arrays ``lam``/``mu`` on its window
+    (entry i at site n_min + i) and ``beyond(ns)`` past it; without
+    ``beyond`` it has no rates past the window."""
+    lam, mu = np.asarray(lam, float), np.asarray(mu, float)
+
+    def rates(ns):
+        ns = np.asarray(ns)
+        i = ns - n_min
+        inside = (i >= 0) & (i < lam.size)
+        if inside.all():
+            return lam[i], mu[i]
+        far_lam, far_mu = beyond(ns)
+        i = np.where(inside, i, 0)
+        return np.where(inside, lam[i], far_lam), np.where(inside, mu[i], far_mu)
+
+    return BDChain(n_min, n_min + lam.size - 1, rates)
+
+
 class TestTheorem1:
     def test_zero_field_is_recurrent_at_zero(self):
         res = classify_theorem1(Zero())
@@ -166,28 +185,26 @@ class TestCriticalLine:
 
 class TestBDChain:
     def test_site_indexing(self):
-        ch = BDChain(2, 5, np.full(4, 0.6), np.full(4, 0.4))
+        ch = array_chain(2, np.full(4, 0.6), np.full(4, 0.4))
         assert list(ch.sites) == [2, 3, 4, 5]
         assert ch.index(4) == 2
         with pytest.raises(ValueError):
             ch.index(6)
 
     def test_rejects_nonpositive_rates_and_bad_shapes(self):
+        with pytest.raises(ValueError, match="non-positive at cell n=2"):
+            array_chain(1, np.array([0.5, 0.0, 0.5]), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="non-positive at cell n=2"):
+            array_chain(1, np.full(3, 0.5), np.array([0.5, -0.1, 0.5]))
+        with pytest.raises(ValueError, match="one entry per site"):
+            BDChain(1, 3, lambda ns: (np.full(2, 0.5), np.full(3, 0.5)))
         with pytest.raises(ValueError):
-            BDChain(1, 3, np.array([0.5, 0.0, 0.5]), np.full(3, 0.5))
-        with pytest.raises(ValueError):
-            BDChain(1, 3, np.full(3, 0.5), np.array([0.5, -0.1, 0.5]))
-        with pytest.raises(ValueError):
-            BDChain(1, 3, np.full(2, 0.5), np.full(3, 0.5))
-        with pytest.raises(ValueError):
-            BDChain(3, 1, np.full(3, 0.5), np.full(3, 0.5))
+            BDChain(3, 1, lambda ns: (np.full(3, 0.5), np.full(3, 0.5)))
 
-    def test_rates_at_requires_extension_beyond_window(self):
-        ch = BDChain(1, 3, np.full(3, 0.6), np.full(3, 0.4))
-        lam, mu = ch.rates_at(np.array([1, 3]))
-        assert np.all(lam == 0.6)
-        with pytest.raises(ValueError, match="extension"):
-            ch.rates_at(np.array([4]))
+    def test_window_rates_are_the_rate_function_on_the_sites(self):
+        ch = ratio_family_chain(2.0, 2, 50)
+        lam, mu = ch.rates(np.arange(2, 51))
+        assert same_bits(ch.lam, lam) and same_bits(ch.mu, mu)
 
 
 class TestDiscretize:
@@ -221,7 +238,7 @@ class TestDiscretize:
     def test_extension_matches_wider_window(self):
         ch = discretize_to_bd(cl_rates(0.5), 2, 100)
         wide = discretize_to_bd(cl_rates(0.5), 149, 151)
-        lam, mu = ch.rates_at(np.array([150]))
+        lam, mu = ch.rates(np.array([150]))
         assert lam[0] == wide.lam[wide.index(150)]
         assert mu[0] == wide.mu[wide.index(150)]
 
@@ -273,7 +290,7 @@ def test_row_blocked_cell_rates_match_the_one_shot_grid(field, sites, q):
     assert same_bits(ch.lam, lam) and same_bits(ch.mu, mu)
     ns = np.arange(n_max + 1, n_max + 1 + sites)
     lam, mu = one_shot_cell_rates(rf, ns, q)
-    got_lam, got_mu = ch.extend(ns)
+    got_lam, got_mu = ch.rates(ns)
     assert same_bits(got_lam, lam) and same_bits(got_mu, mu)
 
 
@@ -296,7 +313,7 @@ def test_time_free_fields_give_the_fixed_time_chain(field):
     assert same_bits(ch.lam, lam) and same_bits(ch.mu, mu)
     ns = np.arange(5001, 9200)
     lam, mu = one_shot_cell_rates(rf, ns, 8, time=lambda xs: 1e8)
-    got_lam, got_mu = ch.extend(ns)
+    got_lam, got_mu = ch.rates(ns)
     assert same_bits(got_lam, lam) and same_bits(got_mu, mu)
 
 
@@ -357,7 +374,7 @@ def whole_block_series(chain, n0, tail_extension):
     ckpts = []
     for done in range(0, total, block):
         ns = np.arange(n0 + done, n0 + min(done + block, total))
-        lam, mu = chain.rates_at(ns)
+        lam, mu = chain.rates(ns)
         with np.errstate(divide="ignore"):
             logs = log_carry + np.cumsum(np.log(mu) - np.log(lam))
         log_carry = float(logs[-1])
@@ -387,7 +404,7 @@ def _mu_vanishes_beyond(n_cut):
         (ratio_family_chain(0.5, 2, 1000), 300_000),
         (ratio_family_chain(1.0, 2, 2**14 + 1), 2**17),
         (discretize_to_bd(cl_rates(2.0), 2, 10000), 990_000),
-        (BDChain(2, 99, np.full(98, 0.7), np.full(98, 0.3), _mu_vanishes_beyond(40_000)), 200_000),
+        (array_chain(2, np.full(98, 0.7), np.full(98, 0.3), _mu_vanishes_beyond(40_000)), 200_000),
     ],
     ids=["ratio-2", "ratio-0.5", "ratio-1", "critical-lamperti", "mu-vanishes"],
 )
@@ -408,11 +425,14 @@ class TestRatioFamily:
             ratio_family_chain(1.0, 0, 10)
         with pytest.raises(ValueError):
             ratio_family_chain(1.0, 5, 4)
+        # 1 + c/n < 0 at n = 1 turns both rates negative
+        with pytest.raises(ValueError, match="non-positive at cell n=1"):
+            ratio_family_chain(-3.0, 1, 10)
 
 
 class TestRatioTest:
     def test_balanced_chain_recurrent(self):
-        ch = BDChain(2, 500, np.full(499, 0.5), np.full(499, 0.5))
+        ch = array_chain(2, np.full(499, 0.5), np.full(499, 0.5))
         res = ratio_test(ch, 2)
         assert res.verdict is Verdict.RECURRENT
         assert res.c_estimate == 0.0
@@ -442,7 +462,7 @@ class TestRatioTest:
         mu = np.full(20, 0.5)
         lam[7] = 0.45
         mu[7] = 0.55
-        ch = BDChain(1, 20, lam, mu)
+        ch = array_chain(1, lam, mu)
         with pytest.raises(ValueError, match=r"violated setting.*first at n=8"):
             ratio_test(ch, 1)
         # below n0 the violation is outside the examined tail
@@ -459,7 +479,7 @@ class TestRatioTest:
 class TestSeriesCriterion:
     def test_balanced_chain_sums_site_count_exactly(self):
         # every product is exactly 1, so S is the number of sites
-        ch = BDChain(3, 4000, np.full(3998, 0.5), np.full(3998, 0.5))
+        ch = array_chain(3, np.full(3998, 0.5), np.full(3998, 0.5))
         res = bd_series_criterion(ch, 3)
         assert res.verdict is Verdict.RECURRENT
         assert res.evidence["sum"] == 3998.0
@@ -508,16 +528,14 @@ class TestSeriesCriterion:
         assert res.c_estimate == pytest.approx(8.0, abs=0.5)
 
     def test_divergent_extension_blows_up(self):
-        # outward-dominant on the stored window, but the analytic tail
-        # flips inward and the products explode
+        # outward-dominant on the window, but the tail past it flips
+        # inward and the products explode
         def rates(ns):
             ns = np.asarray(ns)
             lam = np.where(ns <= 100, 0.6, 0.4)
             return lam, 1.0 - lam
 
-        ns = np.arange(2, 101)
-        lam, mu = rates(ns)
-        ch = BDChain(2, 100, lam, mu, extend=rates)
+        ch = BDChain(2, 100, rates)
         res = bd_series_criterion(ch, 2, tail_extension=900)
         assert res.verdict is Verdict.RECURRENT
         assert res.evidence["rule"] == "divergent-blowup"
@@ -529,7 +547,7 @@ class TestSeriesCriterion:
         def rates(ns):
             return np.full(ns.shape, 0.4), np.full(ns.shape, 0.6)
 
-        ch = BDChain(2, 100, np.full(99, 0.5), np.full(99, 0.5), extend=rates)
+        ch = array_chain(2, np.full(99, 0.5), np.full(99, 0.5), rates)
         res = bd_series_criterion(ch, 2, tail_extension=5000)
         assert res.verdict is Verdict.RECURRENT
         assert res.evidence["rule"] == "divergent-blowup"
@@ -539,21 +557,18 @@ class TestSeriesCriterion:
 
     def test_validation(self):
         ch = ratio_family_chain(1.0, 2, 100)
-        bare = BDChain(2, 100, ch.lam, ch.mu)
         with pytest.raises(ValueError):
             bd_series_criterion(ch, 0)
         with pytest.raises(ValueError):
             bd_series_criterion(ch, 101)
         with pytest.raises(ValueError):
             bd_series_criterion(ch, 2, tail_extension=-1)
-        with pytest.raises(ValueError, match="extension"):
-            bd_series_criterion(bare, 2, tail_extension=10)
         lam = np.full(99, 0.5)
         mu = np.full(99, 0.5)
         lam[50] = 0.4
         mu[50] = 0.6
         with pytest.raises(ValueError, match="violated setting"):
-            bd_series_criterion(BDChain(2, 100, lam, mu), 2)
+            bd_series_criterion(array_chain(2, lam, mu), 2)
 
 
 class TestDiscretizedPipeline:
@@ -613,7 +628,7 @@ class TestBilateral:
         r = 1.0 + 2.0 / np.maximum(np.abs(ns), 1)
         lam = np.where(ns >= 0, r / (1.0 + r), 1.0 / (1.0 + r))
         mu = 1.0 - lam
-        ch = BDChain(-200, 200, lam, mu)
+        ch = array_chain(-200, lam, mu)
         res = classify_bd_bilateral(ch, 2, "ratio")
         assert res.verdict is Verdict.TRANSIENT
         assert res.c_estimate == pytest.approx(2.0, abs=0.01)
@@ -626,7 +641,7 @@ class TestBilateral:
         # outward-dominant to the right, inward to the left
         lam = np.where(ns >= 0, r / (1.0 + r), r / (1.0 + r))
         mu = 1.0 - lam
-        ch = BDChain(-200, 200, lam, mu)
+        ch = array_chain(-200, lam, mu)
         res = classify_bd_bilateral(ch, 2, "ratio")
         assert res.verdict is Verdict.TRANSIENT
         assert res.evidence["left"]["evidence"]["rule"] == "inward-dominant-tail"

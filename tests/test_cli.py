@@ -108,6 +108,7 @@ PARAM_VIOLATIONS = [
      "bd-oracle.tail_extension: must be >= 0"),
     ("bd-oracle", "criterion", "{criterion: neither}",
      "bd-oracle.criterion: must be one of"),
+    ("bd-oracle", "c", "{source: ratio, c: -0.5}", "bd-oracle.c: must be >= 0.0"),
     ("experiment", "n_paths", "{n_paths: 0, horizon: 10.0, level: 3.0}",
      "experiment.n_paths: must be >= 1"),
     ("experiment", "horizon", "{n_paths: 4, horizon: -1.0, level: 3.0}",

@@ -673,7 +673,7 @@ class TestBalance:
     def test_steep_window_beyond_float64_range(self):
         # lam/mu = 3 exactly, so a linear-space product (3^800) overflows.
         k = 801
-        chain = BDChain(0, k - 1, lam=np.full(k, 0.75), mu=np.full(k, 0.25))
+        chain = BDChain(0, k - 1, lambda ns: (np.full(ns.shape, 0.75), np.full(ns.shape, 0.25)))
         with np.errstate(over="ignore"):
             assert np.prod(chain.lam[:-1] / chain.mu[1:]) == np.inf
         p = solve_balance_window(chain, 0, k - 1).p_star
@@ -682,7 +682,7 @@ class TestBalance:
         np.testing.assert_allclose(p, decimal_balance_product(chain, 0, k - 1), rtol=1e-12, atol=1e-15)
 
     def test_non_finite_rates_raise(self):
-        chain = BDChain(0, 3, lam=[0.5, np.inf, 0.5, 0.5], mu=[0.5, 0.5, 0.5, 0.5])
+        chain = BDChain(0, 3, lambda ns: (np.where(ns == 1, np.inf, 0.5), np.full(ns.shape, 0.5)))
         with pytest.raises(ArithmeticError, match="finite"):
             solve_balance_window(chain, 0, 3)
 
@@ -696,7 +696,7 @@ class TestBalance:
 
 def decimal_balance_product(chain, n_min, n_max):
     """Reference: the detailed-balance product in 60-digit decimal arithmetic."""
-    lam, mu = chain.rates_at(np.arange(n_min, n_max + 1))
+    lam, mu = chain.rates(np.arange(n_min, n_max + 1))
     with decimal.localcontext(decimal.Context(prec=60)):
         p = [decimal.Decimal(1)]
         for i in range(lam.size - 1):
@@ -708,7 +708,7 @@ def decimal_balance_product(chain, n_min, n_max):
 def dense_balance_solve(chain, n_min, n_max):
     """Reference: the k x k reflecting balance system, last row swapped for
     the normalization, solved densely."""
-    lam, mu = chain.rates_at(np.arange(n_min, n_max + 1))
+    lam, mu = chain.rates(np.arange(n_min, n_max + 1))
     k = lam.size
     a = np.zeros((k, k))
     a[0, 0] = -lam[0]
