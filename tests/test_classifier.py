@@ -201,11 +201,6 @@ class TestBDChain:
         with pytest.raises(ValueError):
             BDChain(3, 1, lambda ns: (np.full(3, 0.5), np.full(3, 0.5)))
 
-    def test_window_rates_are_the_rate_function_on_the_sites(self):
-        ch = ratio_family_chain(2.0, 2, 50)
-        lam, mu = ch.rates(np.arange(2, 51))
-        assert same_bits(ch.lam, lam) and same_bits(ch.mu, mu)
-
 
 class TestDiscretize:
     def test_flat_field_gives_constant_rates(self):
