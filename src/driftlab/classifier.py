@@ -119,7 +119,7 @@ def classify_theorem1(
     """
     if field.signed:
         raise ValueError("signed drift fields have no tail classification here")
-    if x0 <= 0:
+    if not x0 > 0:  # written so that NaN fails too
         raise ValueError("x0 must be positive")
     if x_max <= x0:
         raise ValueError("x_max must exceed x0")
@@ -177,7 +177,7 @@ def classify_mv_critical(
     equivalent field, ``PowerLaw(rho, 2*beta - 1, beta, x_floor)``, runs
     as well and lands in the evidence for cross-checking.
     """
-    if rho <= 0:
+    if not rho > 0:  # written so that NaN fails too
         raise ValueError("rho must be positive")
     if not _critical_beta(beta):
         raise ValueError("beta must lie in (0, 1/2) or (1/2, 1)")
@@ -243,7 +243,7 @@ class BDChain:
         lam, mu = (np.asarray(r, float) for r in self.rates(ns))
         if lam.shape != ns.shape or mu.shape != ns.shape:
             raise ValueError("rates must return one entry per site")
-        bad = np.flatnonzero((lam <= 0.0) | (mu <= 0.0))
+        bad = np.flatnonzero(~(lam > 0.0) | ~(mu > 0.0))  # NaN fails too
         if bad.size:
             # e.g. a cell sitting entirely on the clip boundary averages mu* to 0
             raise ValueError(f"rate non-positive at cell n={int(ns[bad[0]])}; "

@@ -64,8 +64,8 @@ from .fields import DriftField, JumpLaw, RateField
 from .simulator import (
     _ROWS,
     _csv,
+    _event_blocks,
     _trajectory_csv,
-    _walk_blocks,
     martingale_check,
     simulate_walk,
     wald_second_moment_check,
@@ -504,10 +504,9 @@ _Output = Generator[str, None, tuple[bool, str]]
 def _cmd_classify(rc: RunConfig) -> _Output:
     p, f = rc.params, rc.field
     if _on_critical_line(f):
-        cls = classify_mv_critical(f.rho, f.beta, p["x0"], p["x_max"], p["grid"],
-                                   x_floor=f.x_floor)
+        cls = classify_mv_critical(f.rho, f.beta, x_floor=f.x_floor, **p)
     else:
-        cls = classify_theorem1(f, p["x0"], p["x_max"], p["grid"])
+        cls = classify_theorem1(f, **p)
     result = {**cls.to_record(), "evidence": cls.evidence}
     summary = (
         f"verdict={cls.verdict.value} c_estimate={_fmt_c(cls.c_estimate)} "
@@ -521,7 +520,7 @@ def _cmd_simulate(rc: RunConfig) -> _Output:
     p = rc.params
     rf = RateField(rc.field)
     if rc.output_format == "json":
-        traj = simulate_walk(rf, rc.up_law, rc.down_law, p["horizon"], rc.seed, p["z0"])
+        traj = simulate_walk(rf, rc.up_law, rc.down_law, seed=rc.seed, **p)
         n, final_z = traj.n_events, traj.final_z
         yield from _record_chunks(
             rc,
@@ -538,7 +537,7 @@ def _cmd_simulate(rc: RunConfig) -> _Output:
         # the path nor its text is ever held whole; with no output path
         # nothing is rendered
         n, final_z = 0, p["z0"]
-        blocks = _walk_blocks(rf, rc.up_law, rc.down_law, p["horizon"], rc.seed, p["z0"])
+        blocks = _event_blocks(rf, rc.up_law, rc.down_law, seed=rc.seed, **p)
 
         def tally() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
             nonlocal n, final_z
@@ -590,19 +589,8 @@ def _cmd_bd_oracle(rc: RunConfig) -> _Output:
 
 
 def _cmd_experiment(rc: RunConfig) -> _Output:
-    p = rc.params
-    exp = RecurrenceExperiment(
-        rate_field=RateField(rc.field),
-        up_law=rc.up_law,
-        down_law=rc.down_law,
-        n_paths=p["n_paths"],
-        horizon=p["horizon"],
-        level=p["level"],
-        band=p["band"],
-        seed=rc.seed,
-        z0=p["z0"],
-        workers=rc.workers,
-    )
+    exp = RecurrenceExperiment(RateField(rc.field), rc.up_law, rc.down_law,
+                               seed=rc.seed, workers=rc.workers, **rc.params)
     t0 = time.perf_counter()
     report = run_recurrence_experiment(exp)
     runtime = time.perf_counter() - t0
@@ -620,9 +608,8 @@ def _cmd_experiment(rc: RunConfig) -> _Output:
     return False, summary
 
 
-def _check_martingale(rc: RunConfig) -> _Output:
-    p = rc.params
-    chk = martingale_check(p["rate"], rc.up_law, p["tau"], p["horizon"], p["n_paths"], rc.seed)
+def _check_martingale(rc: RunConfig, args: dict) -> _Output:
+    chk = martingale_check(law=rc.up_law, seed=rc.seed, **args)
     lit, ens = chk.literal, chk.ensemble
     summary = (
         f"martingale literal={_fmt_num(lit.mean_residual)}(se={_fmt_num(lit.se)},ok={lit.within_3se}) "
@@ -632,17 +619,9 @@ def _check_martingale(rc: RunConfig) -> _Output:
     return not (lit.within_3se and ens.within_3se), summary
 
 
-def _check_wald(rc: RunConfig) -> _Output:
-    p = rc.params
-    chk = wald_second_moment_check(
-        RateField(rc.field),
-        rc.up_law,
-        rc.down_law,
-        p["sigma"],
-        p["n_paths"],
-        rc.seed,
-        p["z0"],
-    )
+def _check_wald(rc: RunConfig, args: dict) -> _Output:
+    chk = wald_second_moment_check(RateField(rc.field), rc.up_law, rc.down_law,
+                                   seed=rc.seed, **args)
     result = {"kind": "wald", **chk.to_record()}
     summary = (
         f"wald empirical={_fmt_num(chk.empirical_second_moment)} "
@@ -652,8 +631,7 @@ def _check_wald(rc: RunConfig) -> _Output:
     return not chk.passed, summary
 
 
-def _check_balance(rc: RunConfig) -> _Output:
-    p = rc.params
+def _check_balance(rc: RunConfig, p: dict) -> _Output:
     rf = RateField(rc.field)
     w = (p["window_min"], p["window_max"])
     occ = estimate_occupancy(rf, rc.up_law, rc.down_law, p["total_time"], w, rc.seed)
@@ -676,6 +654,11 @@ def _check_balance(rc: RunConfig) -> _Output:
     return not exact_l1 < 1e-10, summary
 
 
+def _cmd_check(rc: RunConfig) -> _Output:
+    args = dict(rc.params)
+    return _CHECKS[args.pop("kind")](rc, args)
+
+
 class _Command(NamedTuple):
     run: Callable[[RunConfig], _Output]
     formats: tuple[str, ...]  # the first is the default
@@ -686,9 +669,10 @@ _COMMANDS = {
     "simulate": _Command(_cmd_simulate, ("csv", "json")),
     "bd-oracle": _Command(_cmd_bd_oracle, ("json", "csv")),
     "experiment": _Command(_cmd_experiment, ("csv", "json")),
-    "check": _Command(lambda rc: _CHECKS[rc.params["kind"]](rc), ("json",)),
+    "check": _Command(_cmd_check, ("json",)),
 }
 
+# Each check kind's runner takes the run and its row's keys, ``kind`` left out.
 _CHECKS = {"martingale": _check_martingale, "wald": _check_wald, "balance": _check_balance}
 
 

@@ -132,7 +132,7 @@ class Zero(DriftField):
     x_floor: float = DEFAULT_X_FLOOR
 
     def __post_init__(self) -> None:
-        if self.x_floor <= 0:
+        if not self.x_floor > 0:  # written so that NaN fails too
             raise ValueError("x_floor must be positive")
 
     def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -157,9 +157,9 @@ class CriticalLamperti(DriftField):
     x_floor: float = DEFAULT_X_FLOOR
 
     def __post_init__(self) -> None:
-        if self.c < 0:
+        if not self.c >= 0:
             raise ValueError("c must be nonnegative")
-        if self.x_floor <= 0:
+        if not self.x_floor > 0:
             raise ValueError("x_floor must be positive")
 
     def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -202,11 +202,13 @@ class PowerLaw(DriftField):
     x_floor: float = DEFAULT_X_FLOOR
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.beta < 0:
+        if math.isnan(self.alpha):
+            raise ValueError("alpha must not be NaN")
+        if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
-        if self.x_floor <= 0:
+        if not self.x_floor > 0:
             raise ValueError("x_floor must be positive")
 
     def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -272,9 +274,9 @@ class MeanReverting(DriftField):
     x_floor: float = DEFAULT_X_FLOOR
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
-        if self.x_floor <= 0:
+        if not self.x_floor > 0:
             raise ValueError("x_floor must be positive")
 
     def _formula(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -325,7 +327,7 @@ class Tabulated(DriftField):
         object.__setattr__(self, "x_grid", np.asarray(self.x_grid, float))
         object.__setattr__(self, "t_grid", np.asarray(self.t_grid, float))
         object.__setattr__(self, "values", np.asarray(self.values, float))
-        if self.x_floor <= 0:
+        if not self.x_floor > 0:
             raise ValueError("x_floor must be positive")
         for name in ("x_grid", "t_grid", "values"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -482,7 +484,7 @@ class GammaMean1(JumpLaw):
     k: float
 
     def __post_init__(self) -> None:
-        if self.k <= 0:
+        if not self.k > 0:  # written so that NaN fails too
             raise ValueError("shape k must be positive")
 
     @property

@@ -149,7 +149,12 @@ def simulate_walk(
     z0: float = 0.0,
 ) -> Trajectory:
     """Simulate one path on (0, horizon] starting from z0 at time 0."""
-    blocks = list(_walk_blocks(rf, up_law, down_law, horizon, seed, z0))
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be nonnegative and finite")
+    if not math.isfinite(z0):
+        raise ValueError("z0 must be finite")
+    check_seed(seed)
+    blocks = list(_event_blocks(rf, up_law, down_law, horizon, seed, z0))
     if blocks:
         times, jumps, z_after = (np.concatenate(part) for part in zip(*blocks))
     else:
@@ -162,25 +167,6 @@ def simulate_walk(
         jumps=jumps,
         z_after=z_after,
     )
-
-
-def _walk_blocks(
-    rf: RateField,
-    up_law: JumpLaw,
-    down_law: JumpLaw,
-    horizon: float,
-    seed: int,
-    z0: float,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``simulate_walk``'s path as ``_event_blocks``' (times, signed jumps,
-    z_after) blocks, drawn as they are read; the arguments are checked
-    here, before the first block is asked for."""
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError("horizon must be nonnegative and finite")
-    if not math.isfinite(z0):
-        raise ValueError("z0 must be finite")
-    check_seed(seed)
-    return _event_blocks(rf, up_law, down_law, horizon, seed, z0)
 
 
 def _first_block(horizon: float) -> int:
@@ -363,7 +349,8 @@ def _event_blocks(
     z0: float,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The path of seed ``seed`` as (times, signed jumps, z_after) arrays,
-    one non-empty tuple per pass of ``_path_blocks``."""
+    one non-empty tuple per pass of ``_path_blocks``.  The arguments are
+    not checked here; every caller bounds them first."""
     drift = rf.drift
     phi = drift.scalar_phi()
     t = 0.0
@@ -851,7 +838,7 @@ def _csv(
 
 def _trajectory_csv(blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[str]:
     """``trajectory_csv``'s text, piece by piece, from (times, jumps,
-    z_after) blocks such as ``_walk_blocks``'."""
+    z_after) blocks such as ``_event_blocks``'."""
     return _csv("tau,signed_jump,z_after\n", lambda t, j, z: f"{t!r},{j!r},{z!r}\n", blocks)
 
 

@@ -202,6 +202,22 @@ class TestBDChain:
             BDChain(3, 1, lambda ns: (np.full(3, 0.5), np.full(3, 0.5)))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: array_chain(1, [0.5, math.nan, 0.5], [0.5] * 3), "non-positive at cell n=2"),
+        (lambda: array_chain(1, [0.5] * 3, [0.5, 0.5, math.nan]), "non-positive at cell n=3"),
+        (lambda: ratio_family_chain(math.nan, 1, 50), "non-positive at cell n=1"),
+        (lambda: classify_theorem1(CriticalLamperti(c=1.0), x0=math.nan), "x0 must be positive"),
+        (lambda: classify_mv_critical(math.nan, 0.25), "rho must be positive"),
+    ],
+    ids=["lam", "mu", "ratio-c", "x0", "rho"],
+)
+def test_a_nan_parameter_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 class TestDiscretize:
     def test_flat_field_gives_constant_rates(self):
         # phi is pinned at 0.1 across the whole window

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import enum
 import errno
+import inspect
 import itertools
 import json
 import math
@@ -484,7 +485,7 @@ def test_each_flag_is_shorthand_for_one_set(tmp_path, capsys, name):
 def spoiled(name, edit):
     """A stand-in for ``cli.<name>`` that passes the real result through ``edit``."""
     real = getattr(cli, name)
-    return lambda *args: edit(real(*args))
+    return lambda *args, **kwargs: edit(real(*args, **kwargs))
 
 
 # command -> (a config whose run passes, what makes it fail: --set
@@ -517,6 +518,25 @@ def test_strict_exits_one_on_a_failed_result_only(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(cli, spoil[0], spoiled(*spoil))
     assert main(argv) == 0
     assert main([*argv, "--strict"]) == (0 if spoil is None else 1)
+
+
+# each _PARAMS row a runner passes as keywords, and the functions it is passed to
+KEYWORD_ROWS = {
+    "classify": (classify_theorem1, classify_mv_critical),
+    "simulate": (simulator.simulate_walk, simulator._event_blocks),
+    "experiment": (experiments.RecurrenceExperiment,),
+    "martingale": (simulator.martingale_check,),
+    "wald": (simulator.wald_second_moment_check,),
+}
+
+
+@pytest.mark.parametrize("row", sorted(KEYWORD_ROWS))
+def test_each_key_of_a_passed_row_is_a_parameter_of_its_function(row):
+    # a renamed library argument would otherwise surface as a TypeError
+    # traceback from run, which maps only ValueError to exit 2
+    keys = set(cli._PARAMS[row]) - {"kind"}
+    for fn in KEYWORD_ROWS[row]:
+        assert keys - set(inspect.signature(fn).parameters) == set(), fn.__name__
 
 
 class TestMainErrors:
@@ -1116,15 +1136,15 @@ class TestStreamedWriteFailures:
         return code, capsys.readouterr().err
 
     def test_value_error_after_the_first_block_is_a_config_error(self, tmp_path, monkeypatch, capsys):
-        walk_blocks = cli._walk_blocks
+        event_blocks = cli._event_blocks
 
-        def failing(*args):
-            blocks = walk_blocks(*args)
+        def failing(*args, **kwargs):
+            blocks = event_blocks(*args, **kwargs)
             yield next(blocks)
             assert any(n.startswith(".driftlab-") for n in os.listdir(tmp_path))
             raise ValueError("phi is not finite at z=3")
 
-        monkeypatch.setattr(cli, "_walk_blocks", failing)
+        monkeypatch.setattr(cli, "_event_blocks", failing)
         code, err = self.run(tmp_path, capsys)
         assert code == 2
         assert err == "driftlab: config error: simulate: phi is not finite at z=3\n"
@@ -1260,4 +1280,21 @@ def test_the_package_makes_no_blas_call():
                 continue
             found += [f"{path.name}:{node.lineno}: {n}" for n in names
                       if n == "@" or n in BLAS_NAMES]
+    assert found == []
+
+
+def test_the_package_imports_only_numpy_yaml_and_the_stdlib():
+    # scipy is a dev extra and a test oracle; the package must run without it
+    allowed = {"numpy", "yaml", "driftlab", *sys.stdlib_module_names}
+    found = []
+    for path in sorted(pathlib.Path(driftlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import is the package's own
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names
+                      if n.split(".")[0] not in allowed]
     assert found == []

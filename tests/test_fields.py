@@ -211,6 +211,32 @@ class TestConstructionGuards:
         with pytest.raises(ValueError):
             MeanReverting(kappa=-1.0)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: CriticalLamperti(c=math.nan), "c must be nonnegative"),
+            (lambda: PowerLaw(rho=math.nan, alpha=-0.5, beta=0.25), "rho must be positive"),
+            (lambda: PowerLaw(rho=0.1, alpha=math.nan, beta=0.25), "alpha must not be NaN"),
+            (lambda: PowerLaw(rho=0.1, alpha=-0.5, beta=math.nan), "beta must be nonnegative"),
+            (lambda: MeanReverting(kappa=math.nan), "kappa must be nonnegative"),
+            (lambda: GammaMean1(k=math.nan), "shape k must be positive"),
+            (lambda: Zero(x_floor=math.nan), "x_floor must be positive"),
+            (lambda: CriticalLamperti(c=1.0, x_floor=math.nan), "x_floor must be positive"),
+            (lambda: PowerLaw(rho=0.1, alpha=-0.5, beta=0.25, x_floor=math.nan),
+             "x_floor must be positive"),
+            (lambda: MeanReverting(kappa=0.2, x_floor=math.nan), "x_floor must be positive"),
+            (lambda: Tabulated(x_grid=[0.0, 1.0], t_grid=[0.0, 1.0], values=[[0.1, 0.1]] * 2,
+                               x_floor=math.nan), "x_floor must be positive"),
+        ],
+        ids=["c", "rho", "alpha", "beta", "kappa", "k", "zero-x_floor", "lamperti-x_floor",
+             "power-x_floor", "reverting-x_floor", "tabulated-x_floor"],
+    )
+    def test_a_nan_parameter_is_rejected(self, make, message):
+        # each check is written so that NaN fails it: a NaN c walked down
+        # every step, and a NaN x_floor split phi from scalar_phi
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestJumpLaws:
     def test_constant_law_is_degenerate(self):
